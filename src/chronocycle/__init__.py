@@ -34,7 +34,6 @@ from .lp import (
     CycleLP,
     CycleSolution,
     build_lp,
-    dump_lp,
     oracle_optimal,
     restrict_sets,
     solve,

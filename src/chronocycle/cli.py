@@ -79,7 +79,6 @@ class PipelineConfig:
     kinds: str = "vertex,simplex,length"
     significance: Optional[float] = None
     optimize_dim: int = 1
-    backend: str = "builtin"
     round_tol: float = 1e-6
 
     def validate(self):
@@ -109,8 +108,6 @@ class PipelineConfig:
             raise UsageError("simplex_cap must be positive")
         if self.kind not in ("noisy_sine", "double_sine"):
             raise UsageError(f"unknown synth kind {self.kind!r}")
-        if self.backend not in ("builtin", "external"):
-            raise UsageError(f"unknown backend {self.backend!r}")
         if not self.round_tol > 0:
             raise UsageError("round_tol must be positive")
         if self.significance is not None and self.significance < 0:
@@ -155,7 +152,7 @@ def _convert(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {key!r}")
     try:
-        if key in ("input", "out_dir", "kind", "policy", "kinds", "backend"):
+        if key in ("input", "out_dir", "kind", "policy", "kinds"):
             return raw
         if key == "max_radius":
             return raw if raw == ENCLOSING else float(raw)
@@ -367,7 +364,6 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
         cloud.labels,
         points=cloud.points,
         significance=cfg.significance,
-        backend=cfg.backend,
         round_tol=cfg.round_tol,
     )
     to_emb = [int(i) for i in idx]
@@ -508,7 +504,6 @@ def make_parser() -> _Parser:
     p.add_argument("--kinds", help="comma list: vertex,simplex,length")
     p.add_argument("--significance", type=float)
     p.add_argument("--dim", dest="optimize_dim", type=int)
-    p.add_argument("--backend", choices=["builtin", "external"])
     p.add_argument("--round-tol", dest="round_tol", type=float)
 
     p = subs.add_parser("export", help="flatten outputs to CSV plot tables")

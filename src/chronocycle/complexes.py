@@ -187,21 +187,42 @@ class BoundaryMatrix:
     matrix: sp.csc_matrix
 
 
+def _vertex_array(f: Filtration, idx: np.ndarray, k: int) -> np.ndarray:
+    return np.array([f.simplices[g] for g in idx], dtype=np.int64).reshape(-1, k)
+
+
 def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
-    """Matrix of the boundary operator taking (p+1)-chains to p-chains."""
+    """Matrix of the boundary operator taking (p+1)-chains to p-chains.
+
+    Each p-simplex is keyed by its vertex tuple read as base-n digits (n
+    vertices); faces of the (p+1)-simplices are located among the sorted
+    keys with one ``searchsorted``.
+    """
     if mode not in (F2, REAL):
         raise ValueError(f"unknown field mode {mode!r}")
     rows = f.dim_indices(p)
     cols = f.dim_indices(p + 1)
-    row_local = {int(g): i for i, g in enumerate(rows)}
-    data, ri, ci = [], [], []
-    for j, g in enumerate(cols):
-        s = f.simplices[g]
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            ri.append(row_local[f.index[face]])
-            ci.append(j)
-            data.append(1.0 if mode == F2 else float((-1) ** i))
+    k = p + 2
+    if len(cols):
+        row_v = _vertex_array(f, rows, k - 1)
+        col_v = _vertex_array(f, cols, k)
+        shape = (int(row_v.max()) + 1,) * (k - 1)
+        row_keys = np.ravel_multi_index(row_v.T, shape)
+        order = np.argsort(row_keys)
+        sorted_keys = row_keys[order]
+        # face i of column j drops vertex position i; entries run column by
+        # column, faces in deletion order
+        faces = np.stack(
+            [np.delete(col_v, i, axis=1) for i in range(k)], axis=1
+        ).reshape(-1, k - 1)
+        face_keys = np.ravel_multi_index(faces.T, shape)
+        # every face is a row: filtrations are closed under faces
+        ri = order[np.searchsorted(sorted_keys, face_keys)]
+        ci = np.repeat(np.arange(len(cols)), k)
+        signs = np.ones(k) if mode == F2 else (-1.0) ** np.arange(k)
+        data = np.tile(signs, len(cols))
+    else:
+        data, ri, ci = [], [], []
     m = sp.csc_matrix(
         (data, (ri, ci)), shape=(len(rows), len(cols)), dtype=float
     )

@@ -3,9 +3,14 @@
 Given an F2 cycle c0 born at b, the optimization searches the real affine
 space c = c0 + boundary(w) over the (p+1)-simplices alive at b whose reduced
 columns are nonzero, minimizing the weighted l1 objective
-sum_j cost_j (c_j+ + c_j-) with cost_j the column sum of the weight matrix.
-Variables split into positive/negative parts gives a standard-form LP with a
-trivially feasible start (the initial cycle itself).
+sum_j cost_j (c_j+ + c_j-) with cost_j the weight matrix's column cost.
+Variables split into positive/negative parts give a standard-form LP that
+HiGHS solves.
+
+Tie rule: when several supports reach the optimum, the one returned
+minimizes sum_j (1 + j) |c_j| among all optima, with j the position of the
+p-simplex in filtration order.  ``solve`` enforces it with a second pass
+over the optimal face, so the pick depends on the LP, not on pivot order.
 
 An exhaustive F2 oracle over subsets of the free columns validates the LP on
 small instances.
@@ -19,12 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complexes import F2, BoundaryMatrix, Chain, Filtration, boundary, orient_chain
-from .lpsolver import SimplexResult, SolverStalled, revised_simplex
+from .lpsolver import SolverStalled, revised_simplex
 from .reduction import ReducedDecomposition
 from .weights import WeightMatrix
 
 RESIDUAL_TOL = 1e-8
 ROUND_TOL = 1e-6
+TIE_TOL = 1e-9     # reduced costs at most this (relative) count as zero
 
 
 @dataclass
@@ -47,7 +53,6 @@ class CycleSolution:
     support_coefficients: list[float]
     residual: float
     iterations: int
-    backend: str
 
 
 def _alive_prefix(f: Filtration, dim: int, b: float) -> np.ndarray:
@@ -129,31 +134,31 @@ def _standard_form(lp: CycleLP):
 
 def solve(
     lp: CycleLP,
-    backend: str = "builtin",
     round_tol: float = ROUND_TOL,
     pivot_cap: int = 10**6,
 ) -> CycleSolution:
-    """Solve to an optimal basic solution and extract the rounded support."""
+    """Solve to an optimal vertex, picked among tied optima by the tie rule,
+    and extract the rounded support.
+
+    Pass 1 minimizes the time-aware cost.  Pass 2 drops every variable whose
+    pass-1 reduced cost is positive, which by complementary slackness leaves
+    the optimal face: every optimum and nothing else.  Over that face it
+    minimizes sum_j (1 + j) |c_j|, with j the position of the p-simplex in
+    filtration order, so ties go to supports of early simplices whatever
+    the pivot order.  A non-optimal solver status or a residual out of
+    tolerance raises ``SolverStalled``.
+    """
     m, q = lp.A.shape
     A_std, cost_std = _standard_form(lp)
-    if backend == "builtin":
-        # start from the initial cycle: basis column c+_i (c0 >= 0 throughout)
-        basis = [i if lp.c0[i] >= 0 else m + i for i in range(m)]
-        res = revised_simplex(
-            cost_std, A_std, lp.c0, basis, pivot_cap=pivot_cap
-        )
-        x, iters = res.x, res.iterations
-    elif backend == "external":
-        from scipy.optimize import linprog
-
-        opt = linprog(
-            cost_std, A_eq=A_std, b_eq=lp.c0, bounds=(0, None), method="highs"
-        )
-        if not opt.success:
-            raise RuntimeError(f"external backend failed: {opt.message}")
-        x, iters = opt.x, int(getattr(opt, "nit", -1))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    first = revised_simplex(cost_std, A_std, lp.c0, pivot_cap=pivot_cap)
+    face = first.reduced <= TIE_TOL * (1 + float(np.max(cost_std, initial=0)))
+    rank = np.arange(1, m + 1, dtype=float)
+    tie_cost = np.concatenate([rank, rank, np.zeros(2 * q)])
+    second = revised_simplex(
+        tie_cost[face], A_std[:, face], lp.c0, pivot_cap=pivot_cap
+    )
+    x = np.zeros(len(cost_std))
+    x[face] = second.x
 
     c = x[:m] - x[m : 2 * m]
     w = x[2 * m : 2 * m + q] - x[2 * m + q :]
@@ -163,7 +168,7 @@ def solve(
         else 0.0
     )
     if residual > RESIDUAL_TOL * (1 + float(np.max(np.abs(lp.c0), initial=0))):
-        raise RuntimeError(f"solution residual {residual:.3e} out of tolerance")
+        raise SolverStalled(f"solution residual {residual:.3e} out of tolerance")
     local = np.flatnonzero(np.abs(c) > round_tol)
     objective = float(np.dot(lp.cost, np.abs(c)))
     return CycleSolution(
@@ -173,8 +178,7 @@ def solve(
         support=[int(lp.P[i]) for i in local],
         support_coefficients=[float(c[i]) for i in local],
         residual=residual,
-        iterations=iters,
-        backend=backend,
+        iterations=first.iterations + second.iterations,
     )
 
 
@@ -250,32 +254,3 @@ def oracle_optimal(P, Qhat, c0: Chain, W: WeightMatrix, bd: BoundaryMatrix,
         sorted(int(P[i]) for i in row_bits(r)) for v, r in exact if v == best
     ]
     return best, supports
-
-
-def dump_lp(lp: CycleLP, path):
-    """Plain-text standard form for external cross-checks."""
-    m, q = lp.A.shape
-    names = (
-        [f"cp_{j}" for j in range(m)]
-        + [f"cm_{j}" for j in range(m)]
-        + [f"wp_{k}" for k in range(q)]
-        + [f"wm_{k}" for k in range(q)]
-    )
-    A_std, cost_std = _standard_form(lp)
-    A_csr = sp.csr_matrix(A_std)
-    with open(path, "w") as fh:
-        fh.write("minimize\n")
-        terms = [
-            f"{cost_std[j]!r} {names[j]}" for j in range(len(names))
-            if cost_std[j] != 0
-        ]
-        fh.write("  " + " + ".join(terms) + "\n")
-        fh.write("subject to\n")
-        for i in range(m):
-            row = A_csr.getrow(i)
-            lhs = " + ".join(
-                f"{row.data[k]!r} {names[row.indices[k]]}"
-                for k in range(len(row.indices))
-            )
-            fh.write(f"  {lhs} = {lp.c0[i]!r}\n")
-        fh.write("bounds\n  all variables >= 0\n")

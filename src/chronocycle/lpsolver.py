@@ -1,18 +1,10 @@
-"""Revised simplex method with a dense basis inverse.
+"""The package's one LP solver: a thin adapter over HiGHS.
 
-Minimizes c.x subject to A x = b, x >= 0, starting from a caller-supplied
-feasible basis.  The basis inverse is maintained explicitly with rank-1
-pivot updates and refactorized periodically.
-
-Pricing uses Dantzig's rule (most negative reduced cost, lowest index on
-ties) because it reaches optima in far fewer pivots on the LPs we build.
-Dantzig alone can cycle on degenerate problems, so after a run of pivots
-with no objective progress the solver drops into Bland's rule (smallest
-eligible index enters, smallest variable index leaves among ratio ties),
-which is provably finite, and returns to Dantzig pricing once the
-objective moves again.  Both rules break ties by index, so the pivot
-sequence is deterministic.  A hard pivot cap turns pathological stalls
-into an explicit error instead of silent truncation.
+Minimizes cost.x subject to A x = b, x >= 0 with the dual revised simplex
+of HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
+Math. Prog. Comp. 2018), reached through ``scipy.optimize.linprog``.  Every
+status other than optimal (iteration limit, infeasible, unbounded,
+numerical trouble) raises ``SolverStalled``.
 """
 
 from __future__ import annotations
@@ -21,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 
 class SolverStalled(RuntimeError):
-    """Pivot cap exceeded."""
+    """The solver stopped without an optimal solution."""
 
 
 @dataclass
@@ -32,80 +25,21 @@ class SimplexResult:
     x: np.ndarray
     objective: float
     iterations: int
-    basis: list[int]
+    reduced: np.ndarray    # reduced costs cost - A^T y at the optimum
 
 
-def revised_simplex(
-    cost,
-    A: sp.csc_matrix,
-    b,
-    basis,
-    pivot_cap: int = 10**6,
-    tol: float = 1e-9,
-    refactor_every: int = 1024,
-    bland_after: int = 64,
-) -> SimplexResult:
+def revised_simplex(cost, A, b, pivot_cap: int = 10**6) -> SimplexResult:
     cost = np.asarray(cost, float)
-    b = np.asarray(b, float)
     A = sp.csc_matrix(A)
-    m, n = A.shape
-    basis = list(int(j) for j in basis)
-    if len(basis) != m:
-        raise ValueError("basis size must equal the number of constraints")
-
-    At = sp.csr_matrix(A.T)
-    indptr, indices, data = A.indptr, A.indices, A.data
-    Binv = np.linalg.inv(A[:, basis].toarray())
-    x_b = Binv @ b
-    if np.min(x_b) < -1e-7:
-        raise ValueError("starting basis is infeasible")
-    x_b = np.maximum(x_b, 0.0)
-    in_basis = np.zeros(n, dtype=bool)
-    in_basis[basis] = True
-
-    iterations = 0
-    stalled = 0  # consecutive degenerate pivots; triggers Bland mode
-    while True:
-        if iterations >= pivot_cap:
-            raise SolverStalled("solver stalled")
-        y = cost[basis] @ Binv
-        reduced = cost - At @ y
-        eligible = (reduced < -tol) & ~in_basis
-        if not eligible.any():
-            break
-        if stalled >= bland_after:
-            e = int(np.argmax(eligible))  # Bland: smallest entering index
-        else:
-            # Dantzig: most negative reduced cost, first index on ties
-            e = int(np.argmin(np.where(eligible, reduced, 0.0)))
-        s = slice(indptr[e], indptr[e + 1])
-        d = Binv[:, indices[s]] @ data[s]
-        pos = np.flatnonzero(d > tol)
-        if len(pos) == 0:
-            raise RuntimeError("LP unbounded")  # impossible with cost >= 0
-        ratios = x_b[pos] / d[pos]
-        theta = ratios.min()
-        ties = pos[ratios <= theta * (1 + 1e-9) + 1e-15]
-        # smallest leaving variable index among ties
-        leave = int(ties[np.argmin([basis[i] for i in ties])])
-        iterations += 1
-        stalled = 0 if theta > tol else stalled + 1
-        in_basis[basis[leave]] = False
-        in_basis[e] = True
-        basis[leave] = e
-        x_b -= theta * d
-        x_b[leave] = theta
-        piv = d[leave]
-        Binv[leave, :] /= piv
-        others = np.arange(m) != leave
-        Binv[others, :] -= np.outer(d[others], Binv[leave, :])
-        x_b = np.maximum(x_b, 0.0)
-        if iterations % refactor_every == 0:
-            Binv = np.linalg.inv(A[:, basis].toarray())
-            x_b = np.maximum(Binv @ b, 0.0)
-
-    x = np.zeros(n)
-    x[basis] = x_b
+    res = linprog(
+        cost, A_eq=A, b_eq=np.asarray(b, float), bounds=(0, None),
+        method="highs-ds", options={"maxiter": pivot_cap},
+    )
+    if res.status != 0:
+        raise SolverStalled(f"solver stopped: {res.message}")
     return SimplexResult(
-        x=x, objective=float(cost @ x), iterations=iterations, basis=basis
+        x=res.x,
+        objective=float(res.fun),
+        iterations=int(res.nit),
+        reduced=cost - A.T @ res.eqlin.marginals,
     )

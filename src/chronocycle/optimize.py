@@ -98,7 +98,6 @@ def optimize_class(
     dec: ReducedDecomposition,
     labels,
     points=None,
-    backend: str = "builtin",
     round_tol: float = ROUND_TOL,
 ) -> OptimizedRepresentative:
     """Optimize one class: restrict at the relaxed birth, weight, solve."""
@@ -110,7 +109,7 @@ def optimize_class(
     W = weights_for(kind, [f.simplices[g] for g in P], labels, points)
     bd = boundary_matrix(f, p, REAL)
     lp = build_lp(P, Qhat, pair.initial_rep, W, bd, f)
-    sol = solve(lp, backend=backend, round_tol=round_tol)
+    sol = solve(lp, round_tol=round_tol)
 
     ints = np.rint(sol.c)
     rounded = None
@@ -160,7 +159,6 @@ def optimize_all(
     labels,
     points=None,
     significance: Optional[float] = None,
-    backend: str = "builtin",
     round_tol: float = ROUND_TOL,
 ) -> list[OptimizedRepresentative]:
     """One result per significant pair and requested kind, ordered by
@@ -171,7 +169,7 @@ def optimize_all(
             out.append(
                 optimize_class(
                     pr, policy, kind, f, dec, labels,
-                    points=points, backend=backend, round_tol=round_tol,
+                    points=points, round_tol=round_tol,
                 )
             )
     return out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chronocycle.cli as cli
+import chronocycle.lpsolver as lpsolver
 from chronocycle.cli import main
 from chronocycle.lpsolver import SolverStalled
 
@@ -197,6 +198,42 @@ def test_optimize_solver_stall_is_exit_three(pipeline_dir, monkeypatch):
     monkeypatch.setattr(cli, "optimize_all", boom)
     code = main(["optimize", "--out-dir", pipeline_dir, "--subsample", "40"])
     assert code == 3
+
+
+def test_optimize_iteration_limit_is_exit_three(pipeline_dir, monkeypatch):
+    real = lpsolver.linprog
+
+    def limited(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.message = 1, "Iteration limit reached."
+        return res
+
+    monkeypatch.setattr(lpsolver, "linprog", limited)
+    code = main(["optimize", "--out-dir", pipeline_dir, "--subsample", "40"])
+    assert code == 3
+
+
+def test_optimize_bad_solution_is_exit_three(pipeline_dir, monkeypatch,
+                                             capsys):
+    real = lpsolver.linprog
+
+    def off(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = np.zeros_like(res.x)
+        return res
+
+    monkeypatch.setattr(lpsolver, "linprog", off)
+    code = main(["optimize", "--out-dir", pipeline_dir, "--subsample", "40"])
+    assert code == 3
+    assert "residual" in capsys.readouterr().err
+
+
+def test_backend_option_is_gone(pipeline_dir, tmp_path):
+    code = main(["optimize", "--out-dir", pipeline_dir, "--backend", "external"])
+    assert code == 1
+    conf = tmp_path / "old.conf"
+    conf.write_text("backend = builtin\n")
+    assert main(["synth", "--config", str(conf)]) == 1
 
 
 def test_entry_point_subprocess(tmp_path):

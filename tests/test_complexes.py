@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,10 @@ from chronocycle.complexes import (
     chain_birth,
     orient_chain,
 )
+from chronocycle.embedding import LabeledPointCloud
+from chronocycle.rips import RipsConfig, build_rips
+
+from conftest import bent_cylinder, labeled_complex
 
 
 def test_simplex_validation():
@@ -122,6 +127,46 @@ def test_boundary_matrix_triangle_signs():
     assert list(bd.cols) == [6]
     with pytest.raises(ValueError):
         boundary_matrix(f, 1, "f3")
+
+
+def reference_boundary_matrix(f, p, mode):
+    """The per-face dictionary-lookup loop the vectorized builder replaced."""
+    rows = f.dim_indices(p)
+    cols = f.dim_indices(p + 1)
+    row_local = {int(g): i for i, g in enumerate(rows)}
+    data, ri, ci = [], [], []
+    for j, g in enumerate(cols):
+        s = f.simplices[g]
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            ri.append(row_local[f.index[face]])
+            ci.append(j)
+            data.append(1.0 if mode == F2 else float((-1) ** i))
+    return sp.csc_matrix(
+        (data, (ri, ci)), shape=(len(rows), len(cols)), dtype=float
+    )
+
+
+def boundary_cases():
+    yield bent_cylinder()
+    yield labeled_complex()[0]
+    rng = np.random.default_rng(11)
+    for n, max_dim in ((7, 2), (9, 3), (12, 2), (30, 1)):
+        pts = 2.0 * rng.random((n, 2))
+        pc = LabeledPointCloud(points=pts, labels=np.arange(n, dtype=float))
+        yield build_rips(pc, RipsConfig(max_dim=max_dim))
+
+
+def test_boundary_matrix_matches_reference_loop():
+    for f in boundary_cases():
+        for p in range(f.max_dim + 1):
+            for mode in (F2, REAL):
+                got = boundary_matrix(f, p, mode).matrix
+                ref = reference_boundary_matrix(f, p, mode)
+                assert got.shape == ref.shape
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert np.array_equal(got.data, ref.data)
 
 
 def test_boundary_squares_to_zero_matrix():

@@ -5,7 +5,6 @@ from chronocycle.complexes import REAL, Chain, Filtration, boundary_matrix
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.lp import (
     build_lp,
-    dump_lp,
     oracle_optimal,
     restrict_sets,
     solve,
@@ -53,20 +52,6 @@ def test_pentagon_shortcut():
     assert sorted(sol.support) == oracle_sup
 
 
-def test_pentagon_external_backend():
-    f = pentagon_with_chord()
-    c0 = chain_over(f, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    P = f.dim_indices(1)
-    W = length_weights([f.simplices[g] for g in P])
-    bd = boundary_matrix(f, 1, REAL)
-    lp = build_lp(P, f.dim_indices(2), c0, W, bd, f)
-    ext = solve(lp, backend="external")
-    assert ext.backend == "external"
-    assert ext.objective == pytest.approx(4.0, abs=1e-7)
-    with pytest.raises(ValueError, match="backend"):
-        solve(lp, backend="simplexpress")
-
-
 def square_with_two_fins():
     """Square loop with a centre vertex and two of the four quadrant
     triangles filled: two distinct optimal supports of cost 4."""
@@ -98,6 +83,51 @@ def test_tied_optima_all_reported():
     sol = solve(build_lp(P, Qhat, c0, W, bd, f))
     assert sol.objective == pytest.approx(4.0)
     assert sorted(sol.support) in supports
+
+
+def position_cost(P, support):
+    """The tie rule's secondary cost: sum of 1 + filtration position."""
+    pos = {int(g): i for i, g in enumerate(P)}
+    return sum(1 + pos[g] for g in support)
+
+
+def assert_tie_rule(P, Qhat, c0, W, bd, f):
+    """The LP's support is the tied optimum of least position cost, the
+    same on every run.  Returns whether the optimum was tied."""
+    best, supports = oracle_optimal(P, Qhat, c0, W, bd, return_all=True)
+    runs = [solve(build_lp(P, Qhat, c0, W, bd, f)) for _ in range(2)]
+    assert runs[0].support == runs[1].support
+    assert np.array_equal(runs[0].c, runs[1].c)
+    sup = sorted(runs[0].support)
+    assert sup in supports
+    assert position_cost(P, sup) == min(position_cost(P, s) for s in supports)
+    return len(supports) > 1
+
+
+def test_tie_rule_on_two_fins():
+    f = square_with_two_fins()
+    c0 = chain_over(f, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    P = f.dim_indices(1)
+    W = length_weights([f.simplices[g] for g in P])
+    bd = boundary_matrix(f, 1, REAL)
+    assert assert_tie_rule(P, f.dim_indices(2), c0, W, bd, f)
+
+
+def test_tie_rule_on_random_ties():
+    tied = 0
+    for seed in range(40):
+        f, pc = rips_instance(seed, n=7)
+        dec = reduce(f)
+        bd = boundary_matrix(f, 1, REAL)
+        for pr in dec.pairs(1):
+            P, Qhat = restrict_sets(f, dec, 1, pr.birth)
+            if len(Qhat) > 14:
+                continue
+            simplices = [f.simplices[g] for g in P]
+            for W in (length_weights(simplices),
+                      vertex_weights(simplices, pc.labels)):
+                tied += assert_tie_rule(P, Qhat, pr.initial_rep, W, bd, f)
+    assert tied >= 5
 
 
 def test_restrict_sets_no_free_columns(cylinder):
@@ -185,21 +215,6 @@ def test_support_cost_order_invariant():
     b = support_cost(cost, [4, 0, 2])
     assert a == b
     assert support_cost(cost, []) == 0.0
-
-
-def test_dump_lp(tmp_path):
-    f = pentagon_with_chord()
-    c0 = chain_over(f, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    P = f.dim_indices(1)
-    W = length_weights([f.simplices[g] for g in P])
-    bd = boundary_matrix(f, 1, REAL)
-    lp = build_lp(P, f.dim_indices(2), c0, W, bd, f)
-    path = tmp_path / "instance.lp"
-    dump_lp(lp, path)
-    text = path.read_text()
-    assert "minimize" in text
-    assert "subject to" in text
-    assert text.count("=") >= len(P)
 
 
 def rips_instance(seed, n=6):

@@ -51,7 +51,6 @@ from .optimize import (
 from .reduction import (
     PersistencePair,
     ReducedDecomposition,
-    diagram,
     diagram_to_json,
     full_diagram,
     reduce,

@@ -6,10 +6,17 @@ either F2 (persistence reduction) or the reals (signed boundary matrices for
 the cycle optimization LP).  The oriented boundary uses the increasing
 vertex-id orientation: the face dropping vertex position i carries sign
 (-1)**i.
+
+A filtration finds every face of every simplex once, when it is built: per
+dimension, an integer array gives each p-simplex's faces as local indices
+into the (p-1)-simplices, in vertex-deletion order.  The closure check runs
+on that face index, and boundary matrices and the persistence reduction are
+built from it; each boundary matrix is built once and cached.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -99,48 +106,99 @@ class Filtration:
 
     The order is (value, dimension, lexicographic vertices), which puts every
     face before its cofaces and makes downstream reduction deterministic.
-    Construction validates closure under faces and value monotonicity.
+    Construction validates closure under faces and value monotonicity, and
+    keeps the face index that check computes: ``faces(p)`` gives, for each
+    p-simplex, the local (p-1)-index of each face.
     """
 
     def __init__(self, simplices: Iterable[tuple[Iterable[int], float]]):
-        items = sorted(
-            ((_as_vertex_tuple(s), float(v)) for s, v in simplices),
-            key=lambda t: (t[1], len(t[0]), t[0]),
-        )
+        items = list(simplices)
         if not items:
             raise ValueError("empty filtration")
-        self.simplices: list[tuple[int, ...]] = [s for s, _ in items]
-        self.values: np.ndarray = np.array([v for _, v in items], dtype=float)
-        self.dims: np.ndarray = np.array(
-            [len(s) - 1 for s, _ in items], dtype=np.int32
-        )
-        self.index: dict[tuple[int, ...], int] = {
-            s: i for i, (s, _) in enumerate(items)
-        }
-        if len(self.index) != len(items):
-            raise ValueError("duplicate simplex in filtration")
-        if np.any(self.values < 0):
+        verts = [s for s, _ in items]
+        # reorder the caller's tuples when they are already plain int tuples;
+        # rebuilding half a million of them would cost more than the sort
+        if set(map(type, verts)) != {tuple} or set(
+            map(type, itertools.chain.from_iterable(verts))
+        ) - {int}:
+            verts = [_as_vertex_tuple(s) for s in verts]
+        values = np.array([v for _, v in items], dtype=float)
+        lens = np.fromiter(map(len, verts), dtype=np.int64, count=len(verts))
+        if lens.min() == 0:
+            raise ValueError("simplex needs at least one vertex")
+        if not np.all(values >= 0):
             raise ValueError("filtration values must be non-negative")
+        flat = np.fromiter(
+            itertools.chain.from_iterable(verts), dtype=np.int64, count=int(lens.sum())
+        )
+        if flat.min() < 0:
+            raise ValueError("vertex ids must be non-negative")
+        # one row per simplex, vertices left-aligned and padded with -1
+        padded = np.full((len(verts), int(lens.max())), -1, dtype=np.int64)
+        starts = np.cumsum(lens) - lens
+        padded[np.repeat(np.arange(len(verts)), lens),
+               np.arange(len(flat)) - np.repeat(starts, lens)] = flat
+        order = np.lexsort((*padded.T[::-1], lens, values))
+        padded = padded[order]
+        self.simplices: list[tuple[int, ...]] = [verts[i] for i in order.tolist()]
+        self.values: np.ndarray = values[order]
+        self.dims: np.ndarray = (lens[order] - 1).astype(np.int32)
+        self.index: dict[tuple[int, ...], int] = dict(
+            zip(self.simplices, range(len(self.simplices)))
+        )
+        if len(self.index) != len(self.simplices):
+            raise ValueError("duplicate simplex in filtration")
         self.max_dim: int = int(self.dims.max())
         # global indices of the p-simplices, in filtration order, per dimension
         self._by_dim: list[np.ndarray] = [
             np.flatnonzero(self.dims == p) for p in range(self.max_dim + 1)
         ]
-        self._validate_closure()
+        vertex_arrays = [padded[g, : p + 1] for p, g in enumerate(self._by_dim)]
+        self._faces = self._face_index(vertex_arrays, int(flat.max()) + 1)
+        self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
-    def _validate_closure(self):
-        for i, s in enumerate(self.simplices):
-            if len(s) == 1:
-                continue
-            v = self.values[i]
-            for f in Simplex(s).faces():
-                j = self.index.get(f)
-                if j is None:
-                    raise ValueError(f"face {f} of {s} missing from filtration")
-                if self.values[j] > v + 1e-12:
+    def _face_index(self, vertex_arrays, n_vertices) -> list[np.ndarray]:
+        """Local face indices per dimension, checking closure on the way.
+
+        Each (p-1)-simplex is keyed by its vertex tuple read as base-n
+        digits; the faces of all p-simplices are located among the sorted
+        keys with one ``searchsorted`` per deleted vertex position.
+        """
+        faces = [np.empty((0, 0), dtype=np.int64)]
+        for p in range(1, self.max_dim + 1):
+            v = vertex_arrays[p]
+            bad = np.flatnonzero(np.any(v[:, 1:] <= v[:, :-1], axis=1))
+            if len(bad):
+                s = tuple(int(x) for x in v[bad[0]])
+                raise ValueError(f"vertices must be strictly increasing, got {s}")
+            shape = (n_vertices,) * p
+            keys = np.ravel_multi_index(vertex_arrays[p - 1].T, shape)
+            by_key = np.argsort(keys)
+            sorted_keys = keys[by_key]
+            local = np.empty(v.shape, dtype=np.int64)
+            for i in range(p + 1):
+                face_keys = np.ravel_multi_index(np.delete(v, i, axis=1).T, shape)
+                pos = np.minimum(np.searchsorted(sorted_keys, face_keys), len(keys) - 1)
+                missing = np.flatnonzero(sorted_keys[pos] != face_keys)
+                if len(missing):
+                    s = tuple(int(x) for x in v[missing[0]])
                     raise ValueError(
-                        f"face {f} enters at {self.values[j]} after coface {s} at {v}"
+                        f"face {s[:i] + s[i + 1:]} of {s} missing from filtration"
                     )
+                local[:, i] = by_key[pos]
+            local.flags.writeable = False
+            value = self.values[self._by_dim[p]]
+            face_value = self.values[self._by_dim[p - 1]][local]
+            late = np.argwhere(face_value > value[:, None] + 1e-12)
+            if len(late):
+                j, i = late[0]
+                s = tuple(int(x) for x in v[j])
+                raise ValueError(
+                    f"face {s[:i] + s[i + 1:]} enters at {face_value[j, i]} "
+                    f"after coface {s} at {value[j]}"
+                )
+            faces.append(local)
+        return faces
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -169,6 +227,14 @@ class Filtration:
         d = int(self.dims[i])
         return int(np.searchsorted(self._by_dim[d], i))
 
+    def faces(self, p: int) -> np.ndarray:
+        """Face index of the p-simplices: row j holds the local (p-1)-indices
+        of the faces of the j-th p-simplex, column i the face dropping vertex
+        position i.  Read-only; empty outside dimensions 1..max_dim."""
+        if p < 1 or p > self.max_dim:
+            return np.empty((0, max(p, 0) + 1), dtype=np.int64)
+        return self._faces[p]
+
 
 @dataclass
 class BoundaryMatrix:
@@ -187,46 +253,37 @@ class BoundaryMatrix:
     matrix: sp.csc_matrix
 
 
-def _vertex_array(f: Filtration, idx: np.ndarray, k: int) -> np.ndarray:
-    return np.array([f.simplices[g] for g in idx], dtype=np.int64).reshape(-1, k)
-
-
 def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
     """Matrix of the boundary operator taking (p+1)-chains to p-chains.
 
-    Each p-simplex is keyed by its vertex tuple read as base-n digits (n
-    vertices); faces of the (p+1)-simplices are located among the sorted
-    keys with one ``searchsorted``.
+    Built once per (p, mode) from the filtration's face index and cached on
+    the filtration; the matrix arrays are read-only, so callers share it.
     """
     if mode not in (F2, REAL):
         raise ValueError(f"unknown field mode {mode!r}")
+    cached = f._boundary.get((p, mode))
+    if cached is not None:
+        return cached
     rows = f.dim_indices(p)
     cols = f.dim_indices(p + 1)
-    k = p + 2
-    if len(cols):
-        row_v = _vertex_array(f, rows, k - 1)
-        col_v = _vertex_array(f, cols, k)
-        shape = (int(row_v.max()) + 1,) * (k - 1)
-        row_keys = np.ravel_multi_index(row_v.T, shape)
-        order = np.argsort(row_keys)
-        sorted_keys = row_keys[order]
-        # face i of column j drops vertex position i; entries run column by
-        # column, faces in deletion order
-        faces = np.stack(
-            [np.delete(col_v, i, axis=1) for i in range(k)], axis=1
-        ).reshape(-1, k - 1)
-        face_keys = np.ravel_multi_index(faces.T, shape)
-        # every face is a row: filtrations are closed under faces
-        ri = order[np.searchsorted(sorted_keys, face_keys)]
-        ci = np.repeat(np.arange(len(cols)), k)
-        signs = np.ones(k) if mode == F2 else (-1.0) ** np.arange(k)
-        data = np.tile(signs, len(cols))
-    else:
-        data, ri, ci = [], [], []
+    faces = f.faces(p + 1)
+    k = faces.shape[1]
+    # canonical CSC: row indices ascending within each column
+    by_row = np.argsort(faces, axis=1)
+    signs = np.ones(k) if mode == F2 else (-1.0) ** np.arange(k)
     m = sp.csc_matrix(
-        (data, (ri, ci)), shape=(len(rows), len(cols)), dtype=float
+        (
+            signs[by_row].ravel(),
+            np.take_along_axis(faces, by_row, axis=1).ravel(),
+            np.arange(0, k * len(cols) + 1, k),
+        ),
+        shape=(len(rows), len(cols)),
     )
-    return BoundaryMatrix(p=p, mode=mode, rows=rows, cols=cols, matrix=m)
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    bd = BoundaryMatrix(p=p, mode=mode, rows=rows, cols=cols, matrix=m)
+    f._boundary[(p, mode)] = bd
+    return bd
 
 
 def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:

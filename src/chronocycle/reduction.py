@@ -1,18 +1,35 @@
-"""Persistence computation by column reduction of the boundary matrix.
+"""Persistence pairs by cohomology, representatives by homology reduction.
 
-Standard left-to-right reduction of R = boundary * V over F2, done one
-dimension at a time (the global matrix is block "anti-diagonal", so the
-blocks reduce independently and yield the same pairing).  Columns are stored
-as Python integers used as bitsets over the local row order; XOR is column
-addition.  V is kept as a log of column additions and expanded on demand,
-which keeps memory linear in the work actually performed.
+The boundary matrix is handled one dimension at a time: block p has the
+p-simplices as columns and the (p-1)-simplices as rows.  The global matrix
+is block "anti-diagonal", so the blocks reduce independently and yield the
+same pairing.
+
+Pairing.  Each block's pairs come from reducing its coboundary, the
+anti-transpose of the block: the columns are the row simplices from youngest
+to oldest, and a column's pivot is its earliest cofacet.  Reducing a matrix
+and its anti-transpose gives the same pivot pairs (de Silva, Morozov and
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).  As in
+Ripser (Bauer, 2021), the blocks go in ascending dimension; a row simplex
+that the block below made negative is cleared, because its coboundary
+column reduces to zero, and apparent pairs (a simplex whose earliest cofacet
+has it as youngest facet) are read off with array operations.  Only the few
+remaining columns are reduced, as Python-integer bitsets with XOR as column
+addition.
+
+Representatives.  The standard left-to-right reduction R = boundary * V over
+F2 then runs on the negative columns only, which gives exactly the full
+reduction's R: that algorithm only ever adds a column that owns a pivot, and
+a positive column's R is zero, so positive columns never enter it.  V is
+kept as a log of column additions and expanded on demand.  A positive
+column's log is computed when its V column is first needed (essential
+classes, ``check_rv``), by the same column reduction.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,18 +56,54 @@ class PersistencePair:
 
 
 class _DimReduction:
-    """Reduction state for one boundary block (columns = p-simplices)."""
+    """Reduction state for one boundary block (columns = p-simplices).
 
-    __slots__ = ("rows", "cols", "r", "adds", "low", "pivot_of_row", "_v_cache")
+    ``r``, ``adds`` and ``low`` have one entry per column.  Positive columns
+    (R = 0) start out sharing one empty ``adds`` entry; their addition log is
+    filled in when their V column is first asked for.
+    """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+    __slots__ = (
+        "rows", "cols", "faces", "r", "adds", "low", "pivot_of_row",
+        "_unreduced", "_v_cache",
+    )
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
+                 negative: np.ndarray):
         self.rows = rows  # global ids of (p-1)-simplices, filtration order
         self.cols = cols  # global ids of p-simplices, filtration order
-        self.r: list[int] = []
-        self.adds: list[list[int]] = []
-        self.low: list[int] = []
+        self.faces = faces  # local row of each face of each column
+        n = len(cols)
+        self._unreduced: list[int] = []
+        self.r: list[int] = [0] * n
+        self.adds: list[list[int]] = [self._unreduced] * n
+        self.low: list[int] = [-1] * n
         self.pivot_of_row: dict[int, int] = {}
         self._v_cache: dict[int, int] = {}
+        for j in negative.tolist():
+            col, added = self._reduce_column(j)
+            lw = col.bit_length() - 1
+            self.r[j] = col
+            self.adds[j] = added
+            self.low[j] = lw
+            self.pivot_of_row[lw] = j
+
+    def _reduce_column(self, j: int) -> tuple[int, list[int]]:
+        """Left-to-right reduction of boundary column j; returns R_j and the
+        columns added.  For a positive column the pivots met all belong to
+        earlier columns: each pivot row has one owner, and the full
+        reduction met the same owners when it reduced column j to zero."""
+        col = 0
+        for i in self.faces[j].tolist():
+            col |= 1 << i
+        added: list[int] = []
+        while col:
+            other = self.pivot_of_row.get(col.bit_length() - 1)
+            if other is None:
+                break
+            col ^= self.r[other]
+            added.append(other)
+        return col, added
 
     def v_column(self, j: int) -> int:
         """Expand column j of V (bitset over local column indices)."""
@@ -61,6 +114,8 @@ class _DimReduction:
         stack = [j]
         while stack:
             k = stack[-1]
+            if self.adds[k] is self._unreduced:
+                self.adds[k] = self._reduce_column(k)[1]
             pending = [a for a in self.adds[k] if a not in self._v_cache]
             if pending:
                 stack.extend(pending)
@@ -75,11 +130,59 @@ class _DimReduction:
         return self._v_cache[j]
 
 
+def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
+    """Pivot row of every column of one boundary block (-1 where none).
+
+    Reduces the coboundary: column i of the anti-transposed block lists the
+    cofacets of row simplex i, and its pivot is its earliest cofacet.  Rows
+    where ``cleared`` is set are skipped; apparent pairs are taken without
+    reduction.
+    """
+    n_cols, k = faces.shape
+    n_rows = len(cleared)
+    flat = faces.ravel()
+    # CSR of the block: cofacets of each row, ascending
+    cofacets = np.argsort(flat, kind="stable") // k
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_rows), out=indptr[1:])
+    live = np.flatnonzero((indptr[1:] > indptr[:-1]) & ~cleared)
+    earliest = cofacets[indptr[live]]
+    # an apparent pair: the earliest cofacet's youngest facet is the row
+    # itself, so no other row's column can reach that pivot
+    apparent = faces[earliest].max(axis=1) == live
+    owner = np.full(n_cols, -1, dtype=np.int64)
+    owner[earliest[apparent]] = live[apparent]
+    owner = owner.tolist()
+
+    # bitset bit 8*nbytes-1-j stands for cofacet j, so the pivot is the top bit
+    nbytes = (n_cols + 7) // 8
+
+    def column(i):
+        mask = np.zeros(8 * nbytes, dtype=bool)
+        mask[cofacets[indptr[i]:indptr[i + 1]]] = True
+        return int.from_bytes(np.packbits(mask).tobytes(), "big")
+
+    reduced: dict[int, int] = {}
+    for i in live[~apparent][::-1].tolist():
+        col = column(i)
+        while col:
+            j = 8 * nbytes - col.bit_length()
+            other = owner[j]
+            if other < 0:
+                owner[j] = i
+                reduced[i] = col
+                break
+            col ^= reduced[other] if other in reduced else column(other)
+    return np.array(owner, dtype=np.int64)
+
+
 class ReducedDecomposition:
     """R = boundary * V over F2 with per-dimension blocks.
 
     blocks[p] reduces the boundary of the p-simplices (p >= 1); dimension 0
-    has no boundary and therefore no block.
+    has no boundary and therefore no block.  The pairing comes from the
+    coboundary, blocks in ascending dimension; R and V are then computed for
+    the negative columns only (see the module docstring).
     """
 
     def __init__(self, f: Filtration):
@@ -89,33 +192,16 @@ class ReducedDecomposition:
 
     def _reduce(self):
         f = self.filtration
+        cleared = np.zeros(f.n_simplices(0), dtype=bool)
         for p in range(1, f.max_dim + 1):
-            rows = f.dim_indices(p - 1)
-            cols = f.dim_indices(p)
-            blk = _DimReduction(rows, cols)
-            row_local = {int(g): i for i, g in enumerate(rows)}
-            for j, g in enumerate(cols):
-                s = f.simplices[g]
-                col = 0
-                for i in range(len(s)):
-                    col |= 1 << row_local[f.index[s[:i] + s[i + 1 :]]]
-                added: list[int] = []
-                while col:
-                    lw = col.bit_length() - 1
-                    other = blk.pivot_of_row.get(lw)
-                    if other is None:
-                        break
-                    col ^= blk.r[other]
-                    added.append(other)
-                blk.r.append(col)
-                blk.adds.append(added)
-                if col:
-                    lw = col.bit_length() - 1
-                    blk.low.append(lw)
-                    blk.pivot_of_row[lw] = j
-                else:
-                    blk.low.append(-1)
-            self.blocks[p] = blk
+            faces = f.faces(p)
+            owner = _cohomology_pairing(faces, cleared)
+            negative = np.flatnonzero(owner >= 0)
+            self.blocks[p] = _DimReduction(
+                f.dim_indices(p - 1), f.dim_indices(p), faces, negative
+            )
+            # a negative p-simplex's coboundary column reduces to zero
+            cleared = owner >= 0
 
     # -- chain views --------------------------------------------------------
 
@@ -209,16 +295,8 @@ class ReducedDecomposition:
 
     def check_rv(self, p: int) -> bool:
         """Re-multiply: boundary * V == R on the p-block."""
-        f = self.filtration
         blk = self.blocks[p]
-        row_local = {int(g): i for i, g in enumerate(blk.rows)}
-        raw = []
-        for g in blk.cols:
-            s = f.simplices[g]
-            col = 0
-            for i in range(len(s)):
-                col |= 1 << row_local[f.index[s[:i] + s[i + 1 :]]]
-            raw.append(col)
+        raw = [sum(1 << i for i in row) for row in blk.faces.tolist()]
         for j in range(len(blk.cols)):
             v = blk.v_column(j)
             acc = 0
@@ -234,10 +312,6 @@ class ReducedDecomposition:
 def reduce(f: Filtration) -> ReducedDecomposition:
     """Reduce the filtration boundary matrix over F2."""
     return ReducedDecomposition(f)
-
-
-def diagram(dec: ReducedDecomposition, dim: int) -> list[PersistencePair]:
-    return dec.pairs(dim)
 
 
 def full_diagram(dec: ReducedDecomposition, max_dim: int = None) -> list[PersistencePair]:
@@ -271,13 +345,3 @@ def diagram_to_json(pairs: list[PersistencePair], include_reps=False, f: Filtrat
             ]
         rows.append(row)
     return rows
-
-
-def dump_diagram(pairs, path, include_reps=False, f: Filtration = None):
-    with open(path, "w") as fh:
-        json.dump(
-            {"schema": 1, "pairs": diagram_to_json(pairs, include_reps, f)},
-            fh,
-            sort_keys=True,
-            separators=(",", ":"),
-        )

@@ -184,3 +184,36 @@ def gray_code_optimum(P, Qhat, c0_support, f, costs):
         if best_val is None or val < best_val:
             best_val, best_sup = val, sorted(int(P[i]) for i in cur)
     return best_val, best_sup
+
+
+def full_reduction(f):
+    """The standard left-to-right reduction of every column of every block,
+    with its own face lookup: {p: (r, low, adds)} with R columns as bitsets
+    over the local row order, as the package's blocks store them.  Reference
+    for the package's cohomology pairing and negative-column reduction."""
+    blocks = {}
+    for p in range(1, f.max_dim + 1):
+        rows, cols = f.dim_indices(p - 1), f.dim_indices(p)
+        row_local = {int(g): i for i, g in enumerate(rows)}
+        r, low, adds, pivot_of_row = [], [], [], {}
+        for j, g in enumerate(cols):
+            s = f.simplices[g]
+            col = 0
+            for i in range(len(s)):
+                col |= 1 << row_local[f.index[s[:i] + s[i + 1 :]]]
+            added = []
+            while col:
+                other = pivot_of_row.get(col.bit_length() - 1)
+                if other is None:
+                    break
+                col ^= r[other]
+                added.append(other)
+            r.append(col)
+            adds.append(added)
+            if col:
+                low.append(col.bit_length() - 1)
+                pivot_of_row[low[-1]] = j
+            else:
+                low.append(-1)
+        blocks[p] = (r, low, adds)
+    return blocks

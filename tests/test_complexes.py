@@ -94,6 +94,14 @@ def test_filtration_vertices_before_edges_at_equal_value():
     assert f.simplices == [(0,), (1,), (0, 1)]
 
 
+def test_filtration_normalizes_vertex_tuples():
+    f = Filtration(
+        [(Simplex((0,)), 0.0), ([1], 0.0), ((np.int64(0), np.int64(1)), 1.0)]
+    )
+    assert f.simplices == [(0,), (1,), (0, 1)]
+    assert all(type(v) is int for s in f.simplices for v in s)
+
+
 def test_filtration_validation_errors():
     with pytest.raises(ValueError):
         Filtration([])
@@ -105,6 +113,12 @@ def test_filtration_validation_errors():
         Filtration([((0,), 0.0), ((0,), 1.0)])
     with pytest.raises(ValueError, match="non-negative"):
         Filtration([((0,), -1.0)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Filtration([((0,), 0.0), ((1,), float("nan")), ((0, 1), 1.0)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Filtration([((-1,), 0.0)])
+    with pytest.raises(ValueError, match="increasing"):
+        Filtration([((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)])
 
 
 def test_boundary_matrix_single_edge():
@@ -167,6 +181,47 @@ def test_boundary_matrix_matches_reference_loop():
                 assert np.array_equal(got.indptr, ref.indptr)
                 assert np.array_equal(got.indices, ref.indices)
                 assert np.array_equal(got.data, ref.data)
+
+
+def test_boundary_matrix_is_cached_read_only():
+    f = triangle_filtration()
+    bd = boundary_matrix(f, 1, REAL)
+    assert boundary_matrix(f, 1, REAL) is bd
+    assert boundary_matrix(f, 1, F2) is not bd
+    for a in (bd.matrix.data, bd.matrix.indices, bd.matrix.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        f.faces(2)[0, 0] = 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_filtration_order_matches_sorted_key(n, seed):
+    # a random closed complex with few distinct values, so ties between
+    # dimensions and within a dimension are common; input order shuffled
+    rng = np.random.default_rng(seed)
+    value = {(v,): float(rng.integers(0, 2)) for v in range(n)}
+    for k in range(2, n + 1):
+        for s in itertools.combinations(range(n), k):
+            faces = [s[:i] + s[i + 1:] for i in range(k)]
+            if all(fc in value for fc in faces) and rng.random() < 0.7:
+                value[s] = max(value[fc] for fc in faces) + float(rng.integers(0, 2))
+    items = list(value.items())
+    order = rng.permutation(len(items))
+    f = Filtration([items[i] for i in order])
+    expected = sorted(items, key=lambda t: (t[1], len(t[0]), t[0]))
+    assert f.simplices == [s for s, _ in expected]
+    assert f.values.tolist() == [v for _, v in expected]
+    assert f.dims.tolist() == [len(s) - 1 for s, _ in expected]
+    for p in range(1, f.max_dim + 1):
+        rows = f.dim_indices(p - 1)
+        for j, g in enumerate(f.dim_indices(p)):
+            s = f.simplices[g]
+            assert [f.simplices[rows[i]] for i in f.faces(p)[j]] == Simplex(s).faces()
 
 
 def test_boundary_squares_to_zero_matrix():

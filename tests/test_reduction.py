@@ -1,21 +1,17 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chronocycle.complexes import Chain, Filtration, boundary, chain_birth
+from chronocycle.complexes import Filtration, boundary, chain_birth
 from chronocycle.embedding import LabeledPointCloud
-from chronocycle.reduction import (
-    diagram,
-    diagram_to_json,
-    dump_diagram,
-    full_diagram,
-    reduce,
-)
-from chronocycle.rips import RipsConfig, build_rips
+from chronocycle.reduction import diagram_to_json, full_diagram, reduce
+from chronocycle.rips import ENCLOSING, RipsConfig, build_rips
 
-from _f2 import betti, homologous, is_cycle, naive_pairs
+from _f2 import betti, full_reduction, homologous, is_cycle, naive_pairs
+from conftest import bent_cylinder, labeled_complex
 
 
 def cloud(pts):
@@ -177,22 +173,17 @@ def test_full_diagram_dim_cut(cylinder):
     assert {pr.dim for pr in both} == {0, 1}
 
 
-def test_diagram_json_and_dump(cylinder, tmp_path):
+def test_diagram_json(cylinder):
     dec = reduce(cylinder)
-    pairs = diagram(dec, 1)
+    pairs = dec.pairs(1)
     rows = diagram_to_json(pairs)
     deaths = sorted((r["death"] is None) for r in rows)
     assert deaths == [False, True]
     with pytest.raises(ValueError):
         diagram_to_json(pairs, include_reps=True)
     rows = diagram_to_json(pairs, include_reps=True, f=cylinder)
+    assert len(rows) == 2
     assert all(len(s) == 2 for r in rows for s in r["initial_rep"])
-
-    path = tmp_path / "diagram.json"
-    dump_diagram(pairs, path, include_reps=True, f=cylinder)
-    data = json.loads(path.read_text())
-    assert data["schema"] == 1
-    assert len(data["pairs"]) == 2
 
 
 def test_pair_ordering_is_stable():
@@ -201,3 +192,94 @@ def test_pair_ordering_is_stable():
     ones = dec.pairs(1)
     keys = [(pr.birth, pr.death, pr.birth_simplex) for pr in ones]
     assert keys == sorted(keys)
+
+
+def oracle_pairs(f, blocks, dim):
+    """pairs(dim) as (birth, death, birth_simplex, death_simplex, rep
+    support) tuples, read off the full reduction's R, low and V logs."""
+    out = []
+    births = f.dim_indices(dim)
+    paired = set()
+    if dim + 1 in blocks:
+        r, low, _ = blocks[dim + 1]
+        cols = f.dim_indices(dim + 1)
+        for j, lw in enumerate(low):
+            if lw < 0:
+                continue
+            paired.add(lw)
+            b_g, d_g = int(births[lw]), int(cols[j])
+            if f.values[b_g] < f.values[d_g]:
+                sup = [int(births[i]) for i in range(len(births)) if r[j] >> i & 1]
+                out.append((f.value(b_g), f.value(d_g), b_g, d_g, sup))
+    v = {}
+
+    def v_column(j):
+        if j not in v:
+            col = 1 << j
+            for a in blocks[dim][2][j]:
+                col ^= v_column(a)
+            v[j] = col
+        return v[j]
+
+    for i in range(len(births)):
+        if i in paired or (dim > 0 and blocks[dim][0][i]):
+            continue
+        g = int(births[i])
+        sup = [g] if dim == 0 else [
+            int(births[k]) for k in range(len(births)) if v_column(i) >> k & 1
+        ]
+        out.append((f.value(g), math.inf, g, None, sup))
+    return sorted(out, key=lambda t: (t[0], t[1], t[2]))
+
+
+def assert_matches_full_reduction(f):
+    dec = reduce(f)
+    ref = full_reduction(f)
+    assert sorted(dec.blocks) == sorted(ref)
+    for p, (r, low, adds) in ref.items():
+        blk = dec.blocks[p]
+        assert blk.r == r
+        assert blk.low == low
+        assert len(blk.adds) == len(adds)
+        # check_rv asks for every V column, positive ones on demand
+        assert dec.check_reduced(p)
+        assert dec.check_rv(p)
+        assert blk.adds == adds
+    # a fresh reduction: pairs() must not rely on check_rv's V logs
+    for dim in range(f.max_dim + 1):
+        got = [
+            (pr.birth, pr.death, pr.birth_simplex, pr.death_simplex,
+             pr.initial_rep.support)
+            for pr in reduce(f).pairs(dim)
+        ]
+        assert got == oracle_pairs(f, ref, dim)
+
+
+def test_fixtures_match_full_reduction():
+    assert_matches_full_reduction(bent_cylinder())
+    assert_matches_full_reduction(labeled_complex()[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=11),
+    max_dim=st.integers(min_value=1, max_value=3),
+    radius=st.sampled_from([ENCLOSING, 0.4, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_random_rips_match_full_reduction(n, max_dim, radius, seed):
+    rng = np.random.default_rng(seed)
+    # distinct points of a coarse grid: tied distances, hence tied values
+    grid = np.array([(x, y) for x in range(4) for y in range(4)]) / 4.0
+    pts = grid[rng.choice(len(grid), size=n, replace=False)]
+    f = build_rips(cloud(pts), RipsConfig(max_dim=max_dim, max_radius=radius))
+    assert_matches_full_reduction(f)
+
+
+def test_positive_columns_share_one_empty_log():
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    blk = reduce(f).blocks[2]
+    positive = [j for j, lw in enumerate(blk.low) if lw < 0]
+    assert positive
+    assert len({id(blk.adds[j]) for j in positive}) == 1
+    assert all(blk.adds[j] == [] and blk.r[j] == 0 for j in positive)

@@ -13,7 +13,6 @@ from .complexes import (
     Simplex,
     boundary,
     boundary_matrix,
-    chain_birth,
 )
 from .embedding import (
     EmbeddingParams,
@@ -62,12 +61,10 @@ from .weights import (
     SIMPLEX,
     VERTEX,
     WeightMatrix,
-    adjacent,
     length_weights,
     simplex_time_label,
     simplex_weights,
     support_dispersion,
-    time_dispersion,
     vertex_weights,
     weights_for,
 )

@@ -13,16 +13,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union, get_args, get_type_hints
 
 import numpy as np
 
 from .embedding import (
     EmbeddingParams,
     LabeledPointCloud,
+    best_delay,
+    default_tau_grid,
+    delay_curve,
     embedding_dimension,
-    orthogonality_score,
     read_series_csv,
     sliding_window,
     spectrum,
@@ -31,10 +33,10 @@ from .embedding import (
 )
 from .lpsolver import SolverStalled
 from .optimize import RelaxationPolicy, optimize_all
-from .reduction import full_diagram, reduce as reduce_filtration
+from .reduction import diagram_to_json, full_diagram, reduce as reduce_filtration
 from .rips import ENCLOSING, RipsConfig, build_rips, count_rips_simplices
 from .signals import double_sine, noisy_sine
-from .weights import KINDS, EUCLIDEAN
+from .weights import KINDS
 
 
 class UsageError(Exception):
@@ -98,10 +100,7 @@ class PipelineConfig:
                 raise UsageError(f"{name} must be positive")
         if self.d is not None and self.d < 1:
             raise UsageError("d must be at least 1")
-        if not 1 <= self.max_dim <= 3:
-            raise UsageError("max_dim must be between 1 and 3")
-        if self.max_radius != ENCLOSING and not float(self.max_radius) > 0:
-            raise UsageError("max_radius must be positive or 'enclosing'")
+        self.rips_config()
         if self.subsample_ph < 2 or self.subsample_opt < 2:
             raise UsageError("subsample sizes must be at least 2")
         if self.simplex_cap < 1:
@@ -117,6 +116,12 @@ class PipelineConfig:
         self.parse_policy()
         if not self.kind_list():
             raise UsageError("kinds must name at least one weight kind")
+
+    def rips_config(self) -> RipsConfig:
+        try:
+            return RipsConfig(max_dim=self.max_dim, max_radius=self.max_radius)
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
     def parse_policy(self) -> RelaxationPolicy:
         spec = self.policy.strip()
@@ -139,27 +144,25 @@ class PipelineConfig:
             part = part.strip()
             if not part:
                 continue
-            if part not in KINDS + (EUCLIDEAN,):
+            if part not in KINDS:
                 raise UsageError(f"unknown weight kind {part!r}")
             out.append(part)
         return out
 
 
-_FIELD_TYPES = {f.name: f for f in fields(PipelineConfig)}
+_FIELD_TYPES = get_type_hints(PipelineConfig)
 
 
 def _convert(key: str, raw: str):
+    """Parse raw as the field's declared type: the first member of an
+    Optional or Union, so max_radius is a float unless it is 'enclosing'."""
     if key not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {key!r}")
+    if key == "max_radius" and raw == ENCLOSING:
+        return raw
+    field_type = _FIELD_TYPES[key]
     try:
-        if key in ("input", "out_dir", "kind", "policy", "kinds"):
-            return raw
-        if key == "max_radius":
-            return raw if raw == ENCLOSING else float(raw)
-        if key in ("seed", "n", "tau_count", "max_dim", "subsample_ph",
-                   "simplex_cap", "subsample_opt", "optimize_dim", "d"):
-            return int(raw)
-        return float(raw)
+        return (get_args(field_type) or (field_type,))[0](raw)
     except ValueError:
         raise UsageError(f"bad value for {key}: {raw!r}")
 
@@ -261,17 +264,13 @@ def cmd_embed(cfg: PipelineConfig) -> int:
         raise DataError(f"cannot read series {src}: {exc}")
     s = spectrum(ts, cfg.threshold_fraction)
     d = cfg.d if cfg.d is not None else embedding_dimension(s)
-    period_max = 2 * math.pi / min(s.frequencies)
-    lo = cfg.tau_min if cfg.tau_min is not None else period_max / cfg.tau_count
-    hi = cfg.tau_max if cfg.tau_max is not None else period_max
+    default = default_tau_grid(s, cfg.tau_count)
+    lo = cfg.tau_min if cfg.tau_min is not None else default[0]
+    hi = cfg.tau_max if cfg.tau_max is not None else default[-1]
     if not lo <= hi:
         raise UsageError("tau_min must not exceed tau_max")
-    grid = np.linspace(lo, hi, cfg.tau_count)
-    curve = [(float(t), orthogonality_score(s, d, float(t))) for t in grid]
-    if cfg.tau is not None:
-        tau = cfg.tau
-    else:
-        tau = min(curve, key=lambda p: (p[1], p[0]))[0]
+    curve = delay_curve(s, d, np.linspace(lo, hi, cfg.tau_count))
+    tau = cfg.tau if cfg.tau is not None else best_delay(curve)
     pc = sliding_window(ts, EmbeddingParams(d=d, tau=tau))
     out = _path(cfg, "embedding.json")
     write_json(out, {
@@ -287,57 +286,39 @@ def cmd_embed(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_cloud(cfg: PipelineConfig):
+def _reduced_subsample(cfg: PipelineConfig, k: int):
+    """Reduced Rips filtration of k evenly spaced embedding points, refused
+    before it is built when it would exceed the simplex cap; also returns
+    the cloud and each cloud vertex's embedding index."""
     emb = read_json(_path(cfg, "embedding.json"))
-    pts = np.asarray(emb["points"], float)
-    labels = np.asarray(emb["labels"], float)
-    if len(pts) < 2:
+    if len(emb["points"]) < 2:
         raise DataError("embedding has fewer than 2 points")
-    return emb, LabeledPointCloud(points=pts, labels=labels)
-
-
-def _guarded_rips(cfg: PipelineConfig, cloud: LabeledPointCloud):
-    rips_cfg = RipsConfig(max_dim=cfg.max_dim, max_radius=cfg.max_radius)
-    counts = count_rips_simplices(cloud.points, rips_cfg)
-    total = sum(counts)
+    pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
+    idx = subsample_indices(len(pc), min(k, len(pc)))
+    cloud = LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
+    rips_cfg = cfg.rips_config()
+    total = sum(count_rips_simplices(cloud.points, rips_cfg))
     if total > cfg.simplex_cap:
         raise DataError(
             f"simplex budget exceeded: {total} simplices > cap {cfg.simplex_cap}"
             " (lower max_radius, max_dim, or the subsample size)"
         )
-    return build_rips(cloud, rips_cfg)
-
-
-def _pair_row(pr, f, to_embedding):
-    return {
-        "dim": pr.dim,
-        "birth": pr.birth,
-        "death": None if pr.essential else pr.death,
-        "birth_simplex": pr.birth_simplex,
-        "death_simplex": pr.death_simplex,
-        "initial_rep": [
-            [to_embedding[v] for v in f.simplices[i]]
-            for i in pr.initial_rep.support
-        ],
-    }
+    filt = build_rips(cloud, rips_cfg)
+    return cloud, [int(i) for i in idx], filt, reduce_filtration(filt)
 
 
 def cmd_ph(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _, pc = _load_cloud(cfg)
-    k = min(cfg.subsample_ph, len(pc))
-    idx = subsample_indices(len(pc), k)
-    cloud = LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
-    filt = _guarded_rips(cfg, cloud)
-    dec = reduce_filtration(filt)
-    pairs = full_diagram(dec, max_dim=cfg.max_dim)
-    to_emb = [int(i) for i in idx]
+    _, to_emb, filt, dec = _reduced_subsample(cfg, cfg.subsample_ph)
+    rows = diagram_to_json(full_diagram(dec, cfg.max_dim), filt)
+    for row in rows:
+        row["initial_rep"] = [[to_emb[v] for v in s] for s in row["initial_rep"]]
     out = _path(cfg, "diagram.json")
     write_json(out, {
         "schema": 1,
         "subsample_indices": to_emb,
         "max_dim": cfg.max_dim,
-        "pairs": [_pair_row(pr, filt, to_emb) for pr in pairs],
+        "pairs": rows,
     })
     print(out)
     return 0
@@ -347,26 +328,17 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if not os.path.exists(_path(cfg, "diagram.json")):
         raise DataError("diagram.json not found: run the ph command first")
-    _, pc = _load_cloud(cfg)
-    k = min(cfg.subsample_opt, len(pc))
-    idx = subsample_indices(len(pc), k)
-    cloud = LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
-    filt = _guarded_rips(cfg, cloud)
-    dec = reduce_filtration(filt)
-    pairs = dec.pairs(cfg.optimize_dim)
-    policy = cfg.parse_policy()
+    cloud, to_emb, filt, dec = _reduced_subsample(cfg, cfg.subsample_opt)
     reps = optimize_all(
-        pairs,
-        policy,
+        dec.pairs(cfg.optimize_dim),
+        cfg.parse_policy(),
         cfg.kind_list(),
         filt,
         dec,
         cloud.labels,
-        points=cloud.points,
         significance=cfg.significance,
         round_tol=cfg.round_tol,
     )
-    to_emb = [int(i) for i in idx]
     rows = []
     for rep in reps:
         sol = rep.solution
@@ -374,13 +346,7 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
             [to_emb[v] for v in filt.simplices[g]] for g in sol.support
         ]
         rows.append({
-            "pair": {
-                "dim": rep.pair.dim,
-                "birth": rep.pair.birth,
-                "death": None if rep.pair.essential else rep.pair.death,
-                "birth_simplex": rep.pair.birth_simplex,
-                "death_simplex": rep.pair.death_simplex,
-            },
+            "pair": diagram_to_json([rep.pair])[0],
             "kind": rep.loss_kind,
             "policy": rep.policy.describe(),
             "relaxed_birth": rep.relaxed_birth,

@@ -89,17 +89,6 @@ class Chain:
             and self.entries == other.entries
         )
 
-    def mod2(self) -> "Chain":
-        """Reduce coefficients mod 2 (coefficients must be near-integral)."""
-        out = {}
-        for i, c in self.entries.items():
-            k = round(c)
-            if abs(c - k) > 1e-9:
-                raise ValueError(f"non-integral coefficient {c} at index {i}")
-            if k % 2:
-                out[i] = 1
-        return Chain(self.dim, out)
-
 
 class Filtration:
     """Ordered simplices with filtration values.
@@ -222,11 +211,6 @@ class Filtration:
     def n_simplices(self, p: int) -> int:
         return len(self.dim_indices(p))
 
-    def local_index(self, i: int) -> int:
-        """Position of simplex i within its own dimension's order."""
-        d = int(self.dims[i])
-        return int(np.searchsorted(self._by_dim[d], i))
-
     def faces(self, p: int) -> np.ndarray:
         """Face index of the p-simplices: row j holds the local (p-1)-indices
         of the faces of the j-th p-simplex, column i the face dropping vertex
@@ -310,13 +294,6 @@ def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
     else:
         out = {j: v for j, v in acc.items() if v != 0}
     return Chain(c.dim - 1, out)
-
-
-def chain_birth(c: Chain, f: Filtration) -> float:
-    """Least filtration value at which every simplex of the chain exists."""
-    if not c:
-        raise ValueError("birth undefined for zero chain")
-    return float(max(f.values[i] for i in c.entries))
 
 
 def _orient_edges(c: Chain, f: Filtration) -> Chain:

@@ -152,19 +152,24 @@ def orthogonality_score(s: SpectrumSupport, d: int, tau: float) -> float:
     return float(G[iu].mean())
 
 
-def optimal_delay(s: SpectrumSupport, d: int, tau_grid) -> float:
-    """Grid value minimizing the orthogonality score, smallest tau on ties."""
+def delay_curve(s: SpectrumSupport, d: int, tau_grid) -> list[tuple[float, float]]:
+    """(tau, orthogonality score) for every grid value, ascending tau."""
     grid = sorted(float(t) for t in tau_grid)
     if not grid:
         raise ValueError("empty delay grid")
     if grid[0] <= 0:
         raise ValueError("delays must be positive")
-    best_tau, best_score = None, None
-    for tau in grid:
-        sc = orthogonality_score(s, d, tau)
-        if best_score is None or sc < best_score:
-            best_tau, best_score = tau, sc
-    return best_tau
+    return [(tau, orthogonality_score(s, d, tau)) for tau in grid]
+
+
+def best_delay(curve) -> float:
+    """Delay of the lowest score on a delay curve, smallest tau on ties."""
+    return min(curve, key=lambda point: (point[1], point[0]))[0]
+
+
+def optimal_delay(s: SpectrumSupport, d: int, tau_grid) -> float:
+    """Grid value minimizing the orthogonality score, smallest tau on ties."""
+    return best_delay(delay_curve(s, d, tau_grid))
 
 
 def default_tau_grid(s: SpectrumSupport, count: int = 200) -> np.ndarray:
@@ -191,20 +196,17 @@ def sliding_window(ts: TimeSeries, p: EmbeddingParams) -> LabeledPointCloud:
     return LabeledPointCloud(points=pts.reshape(m, p.d), labels=starts)
 
 
-def subsample(pc: LabeledPointCloud, k: int) -> LabeledPointCloud:
-    """k evenly spaced points, first and last included, labels preserved."""
-    m = len(pc)
-    if not 2 <= k <= m:
-        raise ValueError(f"subsample size {k} out of range [2, {m}]")
-    idx = np.rint(np.linspace(0, m - 1, k)).astype(int)
-    return LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
-
-
 def subsample_indices(m: int, k: int) -> np.ndarray:
-    """Index set used by subsample, exposed for output alignment."""
+    """k evenly spaced indices into range(m), first and last included."""
     if not 2 <= k <= m:
         raise ValueError(f"subsample size {k} out of range [2, {m}]")
     return np.rint(np.linspace(0, m - 1, k)).astype(int)
+
+
+def subsample(pc: LabeledPointCloud, k: int) -> LabeledPointCloud:
+    """The points at subsample_indices(len(pc), k), labels preserved."""
+    idx = subsample_indices(len(pc), k)
+    return LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class CycleLP:
     A: sp.csc_matrix       # signed boundary, rows over P, columns over Qhat
     c0: np.ndarray         # +1 lift of the initial representative over P
     W: WeightMatrix
-    cost: np.ndarray       # effective per-variable cost (column sums of W)
+    cost: np.ndarray       # effective per-variable cost (column maxima of W)
 
 
 @dataclass

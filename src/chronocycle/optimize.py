@@ -97,7 +97,6 @@ def optimize_class(
     f: Filtration,
     dec: ReducedDecomposition,
     labels,
-    points=None,
     round_tol: float = ROUND_TOL,
 ) -> OptimizedRepresentative:
     """Optimize one class: restrict at the relaxed birth, weight, solve."""
@@ -106,7 +105,7 @@ def optimize_class(
     if b_relaxed < pair.birth - 1e-9 * (1 + abs(pair.birth)):
         raise ValueError("initial representative not alive at relaxed birth")
     P, Qhat = restrict_sets(f, dec, p, b_relaxed)
-    W = weights_for(kind, [f.simplices[g] for g in P], labels, points)
+    W = weights_for(kind, [f.simplices[g] for g in P], labels)
     bd = boundary_matrix(f, p, REAL)
     lp = build_lp(P, Qhat, pair.initial_rep, W, bd, f)
     sol = solve(lp, round_tol=round_tol)
@@ -157,7 +156,6 @@ def optimize_all(
     f: Filtration,
     dec: ReducedDecomposition,
     labels,
-    points=None,
     significance: Optional[float] = None,
     round_tol: float = ROUND_TOL,
 ) -> list[OptimizedRepresentative]:
@@ -167,9 +165,6 @@ def optimize_all(
     for pr in significant_pairs(pairs, significance):
         for kind in kinds:
             out.append(
-                optimize_class(
-                    pr, policy, kind, f, dec, labels,
-                    points=points, round_tol=round_tol,
-                )
+                optimize_class(pr, policy, kind, f, dec, labels, round_tol=round_tol)
             )
     return out

@@ -314,20 +314,23 @@ def reduce(f: Filtration) -> ReducedDecomposition:
     return ReducedDecomposition(f)
 
 
-def full_diagram(dec: ReducedDecomposition, max_dim: int = None) -> list[PersistencePair]:
-    """Pairs over homology dimensions 0..max_dim (default: all dimensions
-    the filtration carries; pass the intended homology range when the top
-    simplex dimension exists only to close off lower classes)."""
-    if max_dim is None:
-        max_dim = dec.filtration.max_dim
+def full_diagram(dec: ReducedDecomposition, max_dim: int) -> list[PersistencePair]:
+    """Pairs over homology dimensions 0..max_dim.
+
+    There is no default: a Rips filtration carries simplices one dimension
+    above its homology range, only to kill the classes below, and every
+    unkilled top simplex would read as an essential class.
+    """
     out = []
     for p in range(min(max_dim, dec.filtration.max_dim) + 1):
         out.extend(dec.pairs(p))
     return out
 
 
-def diagram_to_json(pairs: list[PersistencePair], include_reps=False, f: Filtration = None) -> list[dict]:
-    """JSON-friendly diagram rows; infinite deaths encode as null."""
+def diagram_to_json(pairs: list[PersistencePair], f: Filtration = None) -> list[dict]:
+    """JSON-friendly diagram rows; infinite deaths encode as null.  Given
+    the filtration, each row also lists the vertex tuples of its initial
+    representative."""
     rows = []
     for pr in pairs:
         row = {
@@ -337,9 +340,7 @@ def diagram_to_json(pairs: list[PersistencePair], include_reps=False, f: Filtrat
             "birth_simplex": pr.birth_simplex,
             "death_simplex": pr.death_simplex,
         }
-        if include_reps:
-            if f is None:
-                raise ValueError("filtration required to emit representatives")
+        if f is not None:
             row["initial_rep"] = [
                 list(f.simplices[i]) for i in pr.initial_rep.support
             ]

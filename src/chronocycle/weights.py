@@ -25,12 +25,11 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Chain, Filtration, Simplex
+from .complexes import Simplex
 
 VERTEX = "vertex"
 SIMPLEX = "simplex"
 LENGTH = "length"
-EUCLIDEAN = "euclidean"
 KINDS = (VERTEX, SIMPLEX, LENGTH)
 
 
@@ -55,15 +54,6 @@ def simplex_time_label(s, labels) -> float:
     """Mean time label of the simplex's vertices."""
     v = _verts(s)
     return float(sum(float(labels[i]) for i in v) / len(v))
-
-
-def adjacent(si, sj) -> bool:
-    """True iff the simplices share all but one vertex (intersection of
-    cardinality p for two p-simplices)."""
-    a, b = _verts(si), _verts(sj)
-    if len(a) != len(b):
-        raise ValueError("adjacency needs equal dimensions")
-    return len(set(a) & set(b)) == len(a) - 1
 
 
 def vertex_weights(P, labels) -> WeightMatrix:
@@ -116,67 +106,20 @@ def length_weights(P) -> WeightMatrix:
     return WeightMatrix(kind=LENGTH, entries=m, column_costs=np.ones(n))
 
 
-def euclidean_length_weights(P, points) -> WeightMatrix:
-    """Diagonal weights by Euclidean diameter of each simplex (alternative
-    reading of the length baseline)."""
-    pts = np.asarray(points, float)
-    diag = []
-    for s in P:
-        v = _verts(s)
-        dmax = 0.0
-        for a, b in combinations(v, 2):
-            dmax = max(dmax, float(np.linalg.norm(pts[a] - pts[b])))
-        diag.append(dmax)
-    diag = np.array(diag)
-    m = sp.diags(diag, format="csr")
-    return WeightMatrix(kind=EUCLIDEAN, entries=m, column_costs=diag.copy())
-
-
-def weights_for(kind: str, P, labels, points=None) -> WeightMatrix:
+def weights_for(kind: str, P, labels) -> WeightMatrix:
     if kind == VERTEX:
         return vertex_weights(P, labels)
     if kind == SIMPLEX:
         return simplex_weights(P, labels)
     if kind == LENGTH:
         return length_weights(P)
-    if kind == EUCLIDEAN:
-        if points is None:
-            raise ValueError("euclidean weights need point coordinates")
-        return euclidean_length_weights(P, points)
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def time_dispersion(c: Chain, f: Filtration, labels) -> float:
-    """Max minus min vertex time label over the chain's support."""
-    if not c:
-        raise ValueError("dispersion undefined for zero chain")
-    lo, hi = np.inf, -np.inf
-    for idx in c.entries:
-        for v in f.simplices[idx]:
-            t = float(labels[v])
-            lo, hi = min(lo, t), max(hi, t)
-    return hi - lo
-
-
 def support_dispersion(support_simplices, labels) -> float:
-    """time_dispersion over explicit vertex tuples (no filtration needed)."""
+    """Max minus min vertex time label over the support simplices."""
     vs = [v for s in support_simplices for v in _verts(s)]
     if not vs:
         raise ValueError("dispersion undefined for zero chain")
     ts = [float(labels[v]) for v in vs]
     return max(ts) - min(ts)
-
-
-def max_adjacent_difference_cost(support_simplices, labels) -> float:
-    """Diagnostic only: sum over support simplices of the largest mean-label
-    difference to an adjacent support simplex (0 with no adjacent neighbor)."""
-    simps = [_verts(s) for s in support_simplices]
-    means = [simplex_time_label(s, labels) for s in simps]
-    total = 0.0
-    for i, si in enumerate(simps):
-        best = 0.0
-        for j, sj in enumerate(simps):
-            if i != j and len(set(si) & set(sj)) == len(si) - 1:
-                best = max(best, abs(means[i] - means[j]))
-        total += best
-    return total

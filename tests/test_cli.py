@@ -86,6 +86,7 @@ def test_usage_errors(tmp_path):
     assert run(["optimize", "--out-dir", out, "--policy", "fraction:2",
                 ]) == 1
     assert run(["optimize", "--out-dir", out, "--kinds", "vertex,karma"]) == 1
+    assert run(["optimize", "--out-dir", out, "--kinds", "euclidean"]) == 1
     assert run(["ph", "--out-dir", out, "--max-dim", "7"]) == 1
     assert run(["ph", "--out-dir", out, "--max-radius", "-2"]) == 1
     assert run(["frobnicate"]) == 1
@@ -113,6 +114,24 @@ def test_config_file(tmp_path, capsys):
     bad.write_text("just a line\n")
     assert run(["synth", "--config", str(bad)]) == 1
     assert run(["synth", "--config", str(tmp_path / "absent.conf")]) == 1
+
+    # each value comes back as its field's type
+    conf = tmp_path / "types.conf"
+    conf.write_text(
+        "d = 4\n"
+        "tau = 0.5\n"
+        "significance = 1\n"
+        "input = 'series.csv'\n"
+        "max_radius = enclosing\n"
+    )
+    got = cli.load_config_file(conf)
+    assert got == {"d": 4, "tau": 0.5, "significance": 1.0,
+                   "input": "series.csv", "max_radius": "enclosing"}
+    assert [type(got[k]) for k in ("d", "tau", "significance", "input")] == [
+        int, float, float, str]
+    conf.write_text("max_radius = 1.5\n")
+    got = cli.load_config_file(conf)
+    assert got == {"max_radius": 1.5} and type(got["max_radius"]) is float
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ from chronocycle.complexes import (
     Simplex,
     boundary,
     boundary_matrix,
-    chain_birth,
     orient_chain,
 )
 from chronocycle.embedding import LabeledPointCloud
@@ -53,13 +52,6 @@ def test_chain_drops_zeros():
     assert Chain(1, {0: 1}) != Chain(2, {0: 1})
 
 
-def test_chain_mod2():
-    c = Chain(1, {0: 3.0, 1: 2.0, 2: -1.0})
-    assert c.mod2().entries == {0: 1, 2: 1}
-    with pytest.raises(ValueError):
-        Chain(1, {0: 0.5}).mod2()
-
-
 def triangle_filtration():
     return Filtration(
         [((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
@@ -82,7 +74,6 @@ def test_filtration_order_and_lookup():
     assert list(f.dim_indices(1)) == [3, 4, 5]
     assert f.n_simplices(2) == 1
     assert len(f.dim_indices(5)) == 0
-    assert f.local_index(4) == 1
     assert f.value(6) == 2.0
     assert f.simplex(3).vertices == (0, 1)
     items = list(f)
@@ -259,15 +250,10 @@ def test_boundary_chain_errors():
 def test_f2_boundary_is_real_mod2():
     f = triangle_filtration()
     c = Chain(2, {6: 1})
-    assert boundary(c, f, REAL).mod2() == boundary(c, f, F2)
-
-
-def test_chain_birth():
-    f = triangle_filtration()
-    assert chain_birth(Chain(1, {3: 1, 5: 1}), f) == 1.0
-    assert chain_birth(Chain(2, {6: 1}), f) == 2.0
-    with pytest.raises(ValueError):
-        chain_birth(Chain(1, {}), f)
+    real = boundary(c, f, REAL)
+    assert all(abs(v) == 1.0 for v in real.entries.values())
+    mod2 = Chain(1, {g: 1 for g, v in real.entries.items() if round(v) % 2})
+    assert mod2 == boundary(c, f, F2)
 
 
 # -- orientation lift ---------------------------------------------------------

@@ -7,7 +7,9 @@ from chronocycle.embedding import (
     EmbeddingParams,
     LabeledPointCloud,
     TimeSeries,
+    best_delay,
     default_tau_grid,
+    delay_curve,
     embedding_dimension,
     optimal_delay,
     orthogonality_score,
@@ -103,6 +105,11 @@ def test_optimal_delay_picks_quarter_period():
         optimal_delay(s, 2, [])
     with pytest.raises(ValueError):
         optimal_delay(s, 2, [-1.0, 1.0])
+    # the curve holds one score per grid value, ascending in tau
+    curve = delay_curve(s, 2, [3.0, 0.1])
+    assert curve == [(0.1, orthogonality_score(s, 2, 0.1)),
+                     (3.0, orthogonality_score(s, 2, 3.0))]
+    assert best_delay([(2.0, 0.5), (1.0, 0.5), (0.5, 0.9)]) == 1.0
 
 
 def test_default_tau_grid():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronocycle.complexes import Filtration, boundary, chain_birth
+from chronocycle.complexes import Filtration, boundary
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.reduction import diagram_to_json, full_diagram, reduce
 from chronocycle.rips import ENCLOSING, RipsConfig, build_rips
@@ -109,7 +109,7 @@ def test_matches_naive_reduction_on_random_clouds():
         pts = rng.standard_normal((7, 2))
         f = build_rips(cloud(pts), RipsConfig(max_dim=2))
         dec = reduce(f)
-        assert as_triples(full_diagram(dec)) == naive_pairs(f)
+        assert as_triples(full_diagram(dec, f.max_dim)) == naive_pairs(f)
 
 
 def test_blocks_verify():
@@ -128,7 +128,8 @@ def test_representatives_are_cycles_alive_at_birth():
             rep = pr.initial_rep
             assert rep.entries, "empty representative"
             assert is_cycle(f, rep.support, dim)
-            assert chain_birth(rep, f) == pytest.approx(pr.birth, abs=1e-12)
+            birth = max(f.values[g] for g in rep.support)
+            assert birth == pytest.approx(pr.birth, abs=1e-12)
             if dim >= 1:
                 assert not boundary(rep, f)
 
@@ -153,8 +154,8 @@ def test_relabeling_leaves_diagram_unchanged():
     perm = rng.permutation(8)
     f_a = build_rips(cloud(pts), RipsConfig(max_dim=1))
     f_b = build_rips(cloud(pts[perm]), RipsConfig(max_dim=1))
-    a = as_triples(full_diagram(reduce(f_a)))
-    b = as_triples(full_diagram(reduce(f_b)))
+    a = as_triples(full_diagram(reduce(f_a), 1))
+    b = as_triples(full_diagram(reduce(f_b), 1))
     assert len(a) == len(b)
     for (da, ba, xa), (db, bb, xb) in zip(a, b):
         assert da == db
@@ -169,8 +170,16 @@ def test_full_diagram_dim_cut(cylinder):
     dec = reduce(cylinder)
     only_zero = full_diagram(dec, max_dim=0)
     assert {pr.dim for pr in only_zero} == {0}
-    both = full_diagram(dec)
+    both = full_diagram(dec, max_dim=cylinder.max_dim)
     assert {pr.dim for pr in both} == {0, 1}
+    with pytest.raises(TypeError):
+        full_diagram(dec)
+    # a max_dim=1 Rips filtration carries triangles only to kill loops;
+    # its unkilled triangles are no H2 classes
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    dec = reduce(f)
+    assert f.max_dim == 2 and any(pr.dim == 2 for pr in dec.pairs(2))
+    assert {pr.dim for pr in full_diagram(dec, 1)} == {0, 1}
 
 
 def test_diagram_json(cylinder):
@@ -179,9 +188,8 @@ def test_diagram_json(cylinder):
     rows = diagram_to_json(pairs)
     deaths = sorted((r["death"] is None) for r in rows)
     assert deaths == [False, True]
-    with pytest.raises(ValueError):
-        diagram_to_json(pairs, include_reps=True)
-    rows = diagram_to_json(pairs, include_reps=True, f=cylinder)
+    assert all("initial_rep" not in r for r in rows)
+    rows = diagram_to_json(pairs, cylinder)
     assert len(rows) == 2
     assert all(len(s) == 2 for r in rows for s in r["initial_rep"])
 

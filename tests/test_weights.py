@@ -6,19 +6,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronocycle.complexes import Chain, Simplex
+from chronocycle.complexes import Simplex
 from chronocycle.weights import (
-    EUCLIDEAN,
     KINDS,
     WeightMatrix,
-    adjacent,
-    euclidean_length_weights,
     length_weights,
-    max_adjacent_difference_cost,
     simplex_time_label,
     simplex_weights,
     support_dispersion,
-    time_dispersion,
     vertex_weights,
     weights_for,
 )
@@ -34,16 +29,6 @@ def test_simplex_time_label():
     labels = {0: PI / 2, 1: PI, 2: 2 * PI}
     assert simplex_time_label((0, 1, 2), labels) == pytest.approx(7 * PI / 6)
     assert simplex_time_label(Simplex((0,)), {0: 3.0}) == 3.0
-
-
-def test_adjacent():
-    assert adjacent((0, 1), (1, 2))
-    assert not adjacent((0, 1), (2, 3))
-    assert not adjacent((0, 1), (0, 1))  # shares both vertices, not p
-    assert adjacent((0, 1, 2), (1, 2, 3))
-    assert not adjacent((0, 1, 2), (2, 3, 4))
-    with pytest.raises(ValueError):
-        adjacent((0, 1), (0, 1, 2))
 
 
 def test_vertex_weights():
@@ -95,22 +80,13 @@ def test_length_weights():
     assert np.allclose(W.column_costs, 1.0)
 
 
-def test_euclidean_weights():
-    pts = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0]])
-    W = euclidean_length_weights([(0, 1), (0, 1, 2)], pts)
-    assert W.column_costs[0] == pytest.approx(5.0)
-    assert W.column_costs[1] == pytest.approx(5.0)  # diameter of the triangle
-
-
 def test_weights_for_dispatch():
     P = [(0, 1)]
     labels = [0.0, 2.0]
-    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     for kind in KINDS:
         assert weights_for(kind, P, labels).kind == kind
-    assert weights_for(EUCLIDEAN, P, labels, pts).kind == EUCLIDEAN
     with pytest.raises(ValueError):
-        weights_for(EUCLIDEAN, P, labels)
+        weights_for("euclidean", P, labels)
     with pytest.raises(ValueError):
         weights_for("taxicab", P, labels)
 
@@ -139,33 +115,21 @@ def test_weights_shift_and_scale(labels, shift, scale):
 
 
 def test_dispersion_on_hexagon(labeled):
-    f, labels = labeled
+    _, labels = labeled
     scale = PI / 3
     hex_edges = []
     for ua, ub in HEXAGON_UNITS:
         va = next(v for v in range(8) if round(labels[v] / scale, 6) == ua)
         vb = next(v for v in range(8) if round(labels[v] / scale, 6) == ub)
         hex_edges.append(tuple(sorted((va, vb))))
-    # explicit-support and chain-based dispersion agree: labels span
-    # pi/3 .. 2 pi over the six hexagon edges
+    # labels span pi/3 .. 2 pi over the six hexagon edges
     assert support_dispersion(hex_edges, labels) == pytest.approx(5 * PI / 3)
-    gids = [f.index[e] for e in hex_edges]
-    c = Chain(1, {g: 1 for g in gids})
-    assert time_dispersion(c, f, labels) == pytest.approx(5 * PI / 3)
+    # Simplex objects and plain tuples give the same dispersion
+    simplices = [Simplex(e) for e in hex_edges]
+    assert support_dispersion(simplices, labels) == pytest.approx(5 * PI / 3)
 
 
 def test_dispersion_zero_chain_errors(labeled):
-    f, labels = labeled
-    with pytest.raises(ValueError):
-        time_dispersion(Chain(1, {}), f, labels)
+    _, labels = labeled
     with pytest.raises(ValueError):
         support_dispersion([], labels)
-
-
-def test_max_adjacent_difference_cost():
-    labels = [0.0, 1.0, 2.0, 10.0]
-    # path of three edges: means 0.5, 1.5, 6.0
-    total = max_adjacent_difference_cost([(0, 1), (1, 2), (2, 3)], labels)
-    assert total == pytest.approx(1.0 + 4.5 + 4.5)
-    # a lone simplex has no adjacent neighbor and costs nothing
-    assert max_adjacent_difference_cost([(0, 1)], labels) == 0.0

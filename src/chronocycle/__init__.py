@@ -10,7 +10,6 @@ from .complexes import (
     BoundaryMatrix,
     Chain,
     Filtration,
-    Simplex,
     boundary,
     boundary_matrix,
 )

@@ -1,6 +1,7 @@
 """Simplicial complexes, filtrations, chains and boundary operators.
 
-Simplices are stored as strictly increasing tuples of vertex ids.  Chains are
+A simplex is a strictly increasing tuple of vertex ids, validated by the
+filtration that holds it; there is no separate simplex type.  Chains are
 sparse maps from filtration index to coefficient; the coefficient domain is
 either F2 (persistence reduction) or the reals (signed boundary matrices for
 the cycle optimization LP).  The oriented boundary uses the increasing
@@ -9,60 +10,23 @@ vertex-id orientation: the face dropping vertex position i carries sign
 
 A filtration finds every face of every simplex once, when it is built: per
 dimension, an integer array gives each p-simplex's faces as local indices
-into the (p-1)-simplices, in vertex-deletion order.  The closure check runs
-on that face index, and boundary matrices and the persistence reduction are
-built from it; each boundary matrix is built once and cached.
+into the (p-1)-simplices, in vertex-deletion order.  This face index is the
+only face lookup: the closure check runs on it, boundary matrices, chain
+boundaries, orientation and the persistence reduction are built from it, and
+each boundary matrix is built once and cached.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
 F2 = "f2"
 REAL = "real"
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A simplex given by its strictly increasing vertex tuple."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        v = tuple(int(x) for x in self.vertices)
-        if len(v) == 0:
-            raise ValueError("simplex needs at least one vertex")
-        if any(b <= a for a, b in zip(v, v[1:])):
-            raise ValueError(f"vertices must be strictly increasing, got {v}")
-        if v[0] < 0:
-            raise ValueError("vertex ids must be non-negative")
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def faces(self) -> list[tuple[int, ...]]:
-        """Codimension-1 faces in vertex-deletion order (position i dropped)."""
-        v = self.vertices
-        return [v[:i] + v[i + 1 :] for i in range(len(v))]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def _as_vertex_tuple(s) -> tuple[int, ...]:
-    if isinstance(s, Simplex):
-        return s.vertices
-    return tuple(int(x) for x in s)
 
 
 @dataclass
@@ -95,9 +59,11 @@ class Filtration:
 
     The order is (value, dimension, lexicographic vertices), which puts every
     face before its cofaces and makes downstream reduction deterministic.
-    Construction validates closure under faces and value monotonicity, and
-    keeps the face index that check computes: ``faces(p)`` gives, for each
-    p-simplex, the local (p-1)-index of each face.
+    Construction validates each simplex (non-empty, strictly increasing,
+    non-negative ids, no duplicates), closure under faces and value
+    monotonicity, and keeps the face index that check computes:
+    ``faces(p)`` gives, for each p-simplex, the local (p-1)-index of each
+    face.
     """
 
     def __init__(self, simplices: Iterable[tuple[Iterable[int], float]]):
@@ -110,7 +76,7 @@ class Filtration:
         if set(map(type, verts)) != {tuple} or set(
             map(type, itertools.chain.from_iterable(verts))
         ) - {int}:
-            verts = [_as_vertex_tuple(s) for s in verts]
+            verts = [tuple(int(x) for x in s) for s in verts]
         values = np.array([v for _, v in items], dtype=float)
         lens = np.fromiter(map(len, verts), dtype=np.int64, count=len(verts))
         if lens.min() == 0:
@@ -132,56 +98,66 @@ class Filtration:
         self.simplices: list[tuple[int, ...]] = [verts[i] for i in order.tolist()]
         self.values: np.ndarray = values[order]
         self.dims: np.ndarray = (lens[order] - 1).astype(np.int32)
-        self.index: dict[tuple[int, ...], int] = dict(
-            zip(self.simplices, range(len(self.simplices)))
-        )
-        if len(self.index) != len(self.simplices):
-            raise ValueError("duplicate simplex in filtration")
         self.max_dim: int = int(self.dims.max())
         # global indices of the p-simplices, in filtration order, per dimension
         self._by_dim: list[np.ndarray] = [
             np.flatnonzero(self.dims == p) for p in range(self.max_dim + 1)
         ]
-        vertex_arrays = [padded[g, : p + 1] for p, g in enumerate(self._by_dim)]
-        self._faces = self._face_index(vertex_arrays, int(flat.max()) + 1)
+        self._faces = self._face_index(padded)
         self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
-    def _face_index(self, vertex_arrays, n_vertices) -> list[np.ndarray]:
-        """Local face indices per dimension, checking closure on the way.
+    def _face_index(self, padded) -> list[np.ndarray]:
+        """Local face indices per dimension, checking the simplices on the way.
 
-        Each (p-1)-simplex is keyed by its vertex tuple read as base-n
-        digits; the faces of all p-simplices are located among the sorted
-        keys with one ``searchsorted`` per deleted vertex position.
+        Vertex ids are replaced by their ranks among the 0-simplices, and a
+        vertex that is not a 0-simplex by the rank one past the last, which
+        no face lookup can find.  Each (p-1)-simplex is keyed by its ranks
+        read as base-(n+1) digits; the faces of all p-simplices are located
+        among the sorted keys with one ``searchsorted`` per deleted vertex
+        position.  The first and last faces fix a p-simplex, so duplicates
+        are found among pairs of face indices.
         """
+        right = padded[:, 1:]  # -1 marks padding
+        bad = np.flatnonzero(np.any((right <= padded[:, :-1]) & (right >= 0), axis=1))
+        if len(bad):
+            raise ValueError(
+                f"vertices must be strictly increasing, got {self.simplices[bad[0]]}"
+            )
+        ids = np.sort(padded[self._by_dim[0], 0])
+        if np.any(ids[1:] == ids[:-1]):
+            raise ValueError("duplicate simplex in filtration")
+        rank = np.searchsorted(ids, padded)
+        rank[np.append(ids, -1)[rank] != padded] = len(ids)
+        base = len(ids) + 1
         faces = [np.empty((0, 0), dtype=np.int64)]
+        r = rank[self._by_dim[0], :1]
         for p in range(1, self.max_dim + 1):
-            v = vertex_arrays[p]
-            bad = np.flatnonzero(np.any(v[:, 1:] <= v[:, :-1], axis=1))
-            if len(bad):
-                s = tuple(int(x) for x in v[bad[0]])
-                raise ValueError(f"vertices must be strictly increasing, got {s}")
-            shape = (n_vertices,) * p
-            keys = np.ravel_multi_index(vertex_arrays[p - 1].T, shape)
+            keys = np.ravel_multi_index(r.T, (base,) * p)
             by_key = np.argsort(keys)
-            sorted_keys = keys[by_key]
-            local = np.empty(v.shape, dtype=np.int64)
+            # the -1 sentinel is what a face key past the last key meets
+            keys = np.append(keys[by_key], -1)
+            r = rank[self._by_dim[p], : p + 1]
+            local = np.empty(r.shape, dtype=np.int64)
             for i in range(p + 1):
-                face_keys = np.ravel_multi_index(np.delete(v, i, axis=1).T, shape)
-                pos = np.minimum(np.searchsorted(sorted_keys, face_keys), len(keys) - 1)
-                missing = np.flatnonzero(sorted_keys[pos] != face_keys)
+                face_keys = np.ravel_multi_index(np.delete(r, i, axis=1).T, (base,) * p)
+                pos = np.searchsorted(keys[:-1], face_keys)
+                missing = np.flatnonzero(keys[pos] != face_keys)
                 if len(missing):
-                    s = tuple(int(x) for x in v[missing[0]])
+                    s = self.simplices[self._by_dim[p][missing[0]]]
                     raise ValueError(
                         f"face {s[:i] + s[i + 1:]} of {s} missing from filtration"
                     )
                 local[:, i] = by_key[pos]
+            pair = np.sort(local[:, 0] * len(keys) + local[:, p])
+            if np.any(pair[1:] == pair[:-1]):
+                raise ValueError("duplicate simplex in filtration")
             local.flags.writeable = False
             value = self.values[self._by_dim[p]]
             face_value = self.values[self._by_dim[p - 1]][local]
             late = np.argwhere(face_value > value[:, None] + 1e-12)
             if len(late):
                 j, i = late[0]
-                s = tuple(int(x) for x in v[j])
+                s = self.simplices[self._by_dim[p][j]]
                 raise ValueError(
                     f"face {s[:i] + s[i + 1:]} enters at {face_value[j, i]} "
                     f"after coface {s} at {value[j]}"
@@ -191,13 +167,6 @@ class Filtration:
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def __iter__(self) -> Iterator[tuple[Simplex, float]]:
-        for s, v in zip(self.simplices, self.values):
-            yield Simplex(s), float(v)
-
-    def simplex(self, i: int) -> Simplex:
-        return Simplex(self.simplices[i])
 
     def value(self, i: int) -> float:
         return float(self.values[i])
@@ -271,28 +240,23 @@ def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
 
 
 def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
-    """Boundary of a chain in the requested field mode."""
-    if mode not in (F2, REAL):
-        raise ValueError(f"unknown field mode {mode!r}")
+    """Boundary of a chain in the requested field mode: the product of the
+    cached boundary matrix with the chain's coefficient vector."""
     if c.dim == 0:
         raise ValueError("no boundary below dimension 0")
-    acc: dict[int, float] = {}
-    for idx, coef in c.entries.items():
-        s = f.simplices[idx]
-        if len(s) - 1 != c.dim:
-            raise ValueError(f"simplex {s} has dimension {len(s)-1}, chain {c.dim}")
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-
-            j = f.index.get(face)
-            if j is None:
-                raise ValueError(f"face {face} missing from filtration")
-            sign = 1.0 if mode == F2 else float((-1) ** i)
-            acc[j] = acc.get(j, 0.0) + sign * coef
+    bd = boundary_matrix(f, c.dim - 1, mode)
+    idx = np.fromiter(c.entries, dtype=np.int64, count=len(c.entries))
+    local = np.searchsorted(bd.cols, idx)
+    wrong = np.flatnonzero(np.append(bd.cols, -1)[local] != idx)
+    if len(wrong):
+        g = int(idx[wrong[0]])
+        raise ValueError(f"simplex {f.simplices[g]} has dimension {f.dims[g]}, chain {c.dim}")
+    y = bd.matrix[:, local] @ np.fromiter(c.entries.values(), dtype=float, count=len(idx))
     if mode == F2:
-        out = {j: 1 for j, v in acc.items() if round(v) % 2}
-    else:
-        out = {j: v for j, v in acc.items() if v != 0}
+        y = np.rint(y) % 2
+    nz = np.flatnonzero(y)
+    rows = bd.rows[nz].tolist()
+    out = dict.fromkeys(rows, 1) if mode == F2 else dict(zip(rows, y[nz].tolist()))
     return Chain(c.dim - 1, out)
 
 
@@ -333,11 +297,11 @@ def _orient_by_face_pairing(c: Chain, f: Filtration) -> Chain:
     # propagate signs across shared codimension-1 faces; each internal face
     # must have exactly two support cofaces (orientable pseudo-manifold)
     support = sorted(c.entries)
-    face_map: dict[tuple[int, ...], list[tuple[int, float]]] = {}
-    for g in support:
-        s = f.simplices[g]
-        for i in range(len(s)):
-            face_map.setdefault(s[:i] + s[i + 1 :], []).append((g, float((-1) ** i)))
+    faces = f.faces(c.dim)[np.searchsorted(f.dim_indices(c.dim), support)]
+    face_map: dict[int, list[tuple[int, float]]] = {}
+    for g, row in zip(support, faces.tolist()):
+        for i, face in enumerate(row):
+            face_map.setdefault(face, []).append((g, float((-1) ** i)))
     for face, cofs in face_map.items():
         if len(cofs) != 2:
             raise ValueError("cannot orient initial cycle")

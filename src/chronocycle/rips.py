@@ -55,46 +55,35 @@ def _expand(prev, prev_vals, adj, dist):
     return out, vals
 
 
-def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
-    """Per-dimension simplex counts of build_rips without building the
-    filtration (memory guard and sanity checks)."""
+def _rips_levels(points, cfg: RipsConfig):
+    """Yield (simplices, values) of each dimension in turn, vertices first;
+    the one expansion behind both the count and the build."""
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty point cloud")
     dist = distance_matrix(pts)
     n = len(dist)
-    r = cfg.radius(dist)
-    adj = dist <= r
+    adj = dist <= cfg.radius(dist)
     np.fill_diagonal(adj, False)
-    counts = [n]
-    simp = [(i,) for i in range(n)]
-    vals = [0.0] * n
+    simp, vals = [(i,) for i in range(n)], [0.0] * n
+    yield simp, vals
     for _ in range(cfg.max_dim + 1):
         simp, vals = _expand(simp, vals, adj, dist)
         if not simp:
-            break
-        counts.append(len(simp))
-    return counts
+            return
+        yield simp, vals
+
+
+def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
+    """Per-dimension simplex counts of build_rips without building the
+    filtration (memory guard and sanity checks)."""
+    return [len(simp) for simp, _ in _rips_levels(points, cfg)]
 
 
 def build_rips(pc, cfg: RipsConfig) -> Filtration:
     """Rips filtration of the cloud; vertices at 0, simplex value = diameter."""
-    pts = np.asarray(pc.points, dtype=float)
-    if len(pts) == 0:
-        raise ValueError("empty point cloud")
-    if len(pts) < 2:
+    if len(pc.points) == 1:
         raise ValueError("need at least 2 points")
-    dist = distance_matrix(pts)
-    n = len(dist)
-    r = cfg.radius(dist)
-    adj = dist <= r
-    np.fill_diagonal(adj, False)
-    simplices = [((i,), 0.0) for i in range(n)]
-    cur = [(i,) for i in range(n)]
-    vals = [0.0] * n
-    for _ in range(cfg.max_dim + 1):
-        cur, vals = _expand(cur, vals, adj, dist)
-        if not cur:
-            break
-        simplices.extend(zip(cur, vals))
+    # a list, so the expansion runs here and not lazily inside Filtration
+    simplices = [item for level in _rips_levels(pc.points, cfg) for item in zip(*level)]
     return Filtration(simplices)

@@ -25,8 +25,6 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import Simplex
-
 VERTEX = "vertex"
 SIMPLEX = "simplex"
 LENGTH = "length"
@@ -44,24 +42,16 @@ class WeightMatrix:
             raise ValueError("weight entries must be non-negative")
 
 
-def _verts(s) -> tuple[int, ...]:
-    if isinstance(s, Simplex):
-        return s.vertices
-    return tuple(int(v) for v in s)
-
-
 def simplex_time_label(s, labels) -> float:
     """Mean time label of the simplex's vertices."""
-    v = _verts(s)
-    return float(sum(float(labels[i]) for i in v) / len(v))
+    return float(sum(float(labels[i]) for i in s) / len(s))
 
 
 def vertex_weights(P, labels) -> WeightMatrix:
     """Diagonal weights: own-vertex label spread per simplex."""
     diag = np.array(
         [
-            max(float(labels[v]) for v in _verts(s))
-            - min(float(labels[v]) for v in _verts(s))
+            max(float(labels[v]) for v in s) - min(float(labels[v]) for v in s)
             for s in P
         ]
     )
@@ -76,7 +66,7 @@ def simplex_weights(P, labels) -> WeightMatrix:
     subsets; two distinct simplices sharing such a subset intersect in
     exactly p vertices.
     """
-    simps = [_verts(s) for s in P]
+    simps = list(P)
     n = len(simps)
     means = np.array([simplex_time_label(s, labels) for s in simps])
     facet_groups: dict[tuple, list[int]] = {}
@@ -118,7 +108,7 @@ def weights_for(kind: str, P, labels) -> WeightMatrix:
 
 def support_dispersion(support_simplices, labels) -> float:
     """Max minus min vertex time label over the support simplices."""
-    vs = [v for s in support_simplices for v in _verts(s)]
+    vs = [v for s in support_simplices for v in s]
     if not vs:
         raise ValueError("dispersion undefined for zero chain")
     ts = [float(labels[v]) for v in vs]

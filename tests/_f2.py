@@ -64,6 +64,28 @@ def solve2(A, b):
     return x
 
 
+def simplex_index(f):
+    """{vertex tuple: global index}, the face lookup every helper here uses."""
+    return {s: i for i, s in enumerate(f.simplices)}
+
+
+def naive_boundary(f, entries, mode):
+    """Boundary of the chain {global index: coefficient} by tuple slicing:
+    the face dropping vertex position i gets sign (-1)**i in "real" mode,
+    and the F2 result keeps the faces with an odd coefficient sum."""
+    index = simplex_index(f)
+    acc = {}
+    for g, coef in entries.items():
+        s = f.simplices[g]
+        for i in range(len(s)):
+            face = index[s[:i] + s[i + 1 :]]
+            sign = (-1) ** i if mode == "real" else 1
+            acc[face] = acc.get(face, 0) + sign * coef
+    if mode == "real":
+        return {g: float(v) for g, v in acc.items() if v != 0}
+    return {g: 1 for g, v in acc.items() if v % 2}
+
+
 def simplex_list(f, p):
     """(global index, vertex tuple) of the p-simplices, filtration order."""
     return [(int(g), f.simplices[g]) for g in f.dim_indices(p)]
@@ -78,11 +100,12 @@ def dense_boundary(f, p, value_cap=None):
         rows = [g for g in rows if f.values[g] <= value_cap + 1e-12]
         cols = [g for g in cols if f.values[g] <= value_cap + 1e-12]
     pos = {g: i for i, g in enumerate(rows)}
+    index = simplex_index(f)
     M = np.zeros((len(rows), len(cols)), dtype=np.uint8)
     for j, g in enumerate(cols):
         s = f.simplices[g]
         for drop in range(len(s)):
-            face = f.index[s[:drop] + s[drop + 1 :]]
+            face = index[s[:drop] + s[drop + 1 :]]
             M[pos[face], j] = 1
     return M, rows, cols
 
@@ -168,11 +191,12 @@ def gray_code_optimum(P, Qhat, c0_support, f, costs):
     enumerated with plain Python sets.  Cross-check for lp.oracle_optimal."""
     pos = {int(g): i for i, g in enumerate(P)}
     base = frozenset(pos[g] for g in c0_support)
+    index = simplex_index(f)
     cols = []
     for g in Qhat:
         s = f.simplices[int(g)]
         cols.append(
-            frozenset(pos[f.index[s[:k] + s[k + 1 :]]] for k in range(len(s)))
+            frozenset(pos[index[s[:k] + s[k + 1 :]]] for k in range(len(s)))
         )
     best_val, best_sup = None, None
     for r in range(1 << len(cols)):
@@ -191,6 +215,7 @@ def full_reduction(f):
     with its own face lookup: {p: (r, low, adds)} with R columns as bitsets
     over the local row order, as the package's blocks store them.  Reference
     for the package's cohomology pairing and negative-column reduction."""
+    index = simplex_index(f)
     blocks = {}
     for p in range(1, f.max_dim + 1):
         rows, cols = f.dim_indices(p - 1), f.dim_indices(p)
@@ -200,7 +225,7 @@ def full_reduction(f):
             s = f.simplices[g]
             col = 0
             for i in range(len(s)):
-                col |= 1 << row_local[f.index[s[:i] + s[i + 1 :]]]
+                col |= 1 << row_local[index[s[:i] + s[i + 1 :]]]
             added = []
             while col:
                 other = pivot_of_row.get(col.bit_length() - 1)

@@ -11,7 +11,6 @@ from chronocycle.complexes import (
     REAL,
     Chain,
     Filtration,
-    Simplex,
     boundary,
     boundary_matrix,
     orient_chain,
@@ -19,28 +18,8 @@ from chronocycle.complexes import (
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.rips import RipsConfig, build_rips
 
+from _f2 import naive_boundary, simplex_index
 from conftest import bent_cylinder, labeled_complex
-
-
-def test_simplex_validation():
-    s = Simplex((0, 3, 7))
-    assert s.dim == 2
-    assert len(s) == 3
-    assert list(s) == [0, 3, 7]
-    with pytest.raises(ValueError):
-        Simplex(())
-    with pytest.raises(ValueError):
-        Simplex((2, 1))
-    with pytest.raises(ValueError):
-        Simplex((1, 1))
-    with pytest.raises(ValueError):
-        Simplex((-1, 0))
-
-
-def test_simplex_faces_drop_order():
-    # face i drops vertex position i
-    assert Simplex((0, 1, 2)).faces() == [(1, 2), (0, 2), (0, 1)]
-    assert Simplex((5,)).faces() == [()]
 
 
 def test_chain_drops_zeros():
@@ -75,9 +54,6 @@ def test_filtration_order_and_lookup():
     assert f.n_simplices(2) == 1
     assert len(f.dim_indices(5)) == 0
     assert f.value(6) == 2.0
-    assert f.simplex(3).vertices == (0, 1)
-    items = list(f)
-    assert items[0] == (Simplex((0,)), 0.0)
 
 
 def test_filtration_vertices_before_edges_at_equal_value():
@@ -87,10 +63,25 @@ def test_filtration_vertices_before_edges_at_equal_value():
 
 def test_filtration_normalizes_vertex_tuples():
     f = Filtration(
-        [(Simplex((0,)), 0.0), ([1], 0.0), ((np.int64(0), np.int64(1)), 1.0)]
+        [((0,), 0.0), ([1], 0.0), ((np.int64(0), np.int64(1)), 1.0)]
     )
     assert f.simplices == [(0,), (1,), (0, 1)]
     assert all(type(v) is int for s in f.simplices for v in s)
+
+
+def test_simplex_validation():
+    # a simplex is a strictly increasing tuple of non-negative vertex ids
+    f = Filtration(closed_simplex((0, 3, 7)))
+    assert f.simplices[-1] == (0, 3, 7)
+    assert f.n_simplices(2) == 1
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Filtration([((), 0.0)])
+    with pytest.raises(ValueError, match="increasing"):
+        Filtration([((1,), 0.0), ((2,), 0.0), ((2, 1), 1.0)])
+    with pytest.raises(ValueError, match="increasing"):
+        Filtration([((1,), 0.0), ((1, 1), 1.0)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Filtration([((0,), 0.0), ((-1, 0), 1.0)])
 
 
 def test_filtration_validation_errors():
@@ -102,6 +93,12 @@ def test_filtration_validation_errors():
         Filtration([((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)])
     with pytest.raises(ValueError, match="duplicate"):
         Filtration([((0,), 0.0), ((0,), 1.0)])
+    edge_twice = [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((0, 1), 2.0)]
+    with pytest.raises(ValueError, match="duplicate"):
+        Filtration(edge_twice)  # in the top dimension
+    with pytest.raises(ValueError, match="duplicate"):
+        Filtration(edge_twice + [((2,), 0.0), ((0, 2), 1.0), ((1, 2), 1.0),
+                                 ((0, 1, 2), 3.0)])
     with pytest.raises(ValueError, match="non-negative"):
         Filtration([((0,), -1.0)])
     with pytest.raises(ValueError, match="non-negative"):
@@ -110,6 +107,35 @@ def test_filtration_validation_errors():
         Filtration([((-1,), 0.0)])
     with pytest.raises(ValueError, match="increasing"):
         Filtration([((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)])
+    # a vertex of a simplex that is not itself a 0-simplex
+    with pytest.raises(ValueError, match="missing"):
+        Filtration([((0,), 0.0), ((0, 10**10), 1.0)])
+    with pytest.raises(ValueError, match="missing"):
+        Filtration([((0, 1), 1.0)])
+
+
+def closed_simplex(top):
+    """Every face of the simplex on ``top``, entering at its dimension."""
+    return [
+        (s, float(k - 1))
+        for k in range(1, len(top) + 1)
+        for s in itertools.combinations(top, k)
+    ]
+
+
+@pytest.mark.parametrize("top", [(0, 1, 2, 3_000_000), (0, 1, 10**10)])
+def test_filtration_with_large_vertex_ids(top):
+    # face keys are built from vertex ranks, not from the ids themselves
+    f = Filtration(closed_simplex(top))
+    assert f.simplices[-1] == top
+    assert f.n_simplices(1) == len(top) * (len(top) - 1) // 2
+    p = len(top) - 1
+    rows = f.dim_indices(p - 1)
+    assert [f.simplices[rows[i]] for i in f.faces(p)[0]] == [
+        top[:i] + top[i + 1 :] for i in range(len(top))
+    ]
+    real = boundary(Chain(p, {len(f) - 1: 1}), f, REAL)
+    assert not boundary(real, f, REAL)
 
 
 def test_boundary_matrix_single_edge():
@@ -139,12 +165,13 @@ def reference_boundary_matrix(f, p, mode):
     rows = f.dim_indices(p)
     cols = f.dim_indices(p + 1)
     row_local = {int(g): i for i, g in enumerate(rows)}
+    index = simplex_index(f)
     data, ri, ci = [], [], []
     for j, g in enumerate(cols):
         s = f.simplices[g]
         for i in range(len(s)):
             face = s[:i] + s[i + 1 :]
-            ri.append(row_local[f.index[face]])
+            ri.append(row_local[index[face]])
             ci.append(j)
             data.append(1.0 if mode == F2 else float((-1) ** i))
     return sp.csc_matrix(
@@ -212,7 +239,9 @@ def test_filtration_order_matches_sorted_key(n, seed):
         rows = f.dim_indices(p - 1)
         for j, g in enumerate(f.dim_indices(p)):
             s = f.simplices[g]
-            assert [f.simplices[rows[i]] for i in f.faces(p)[j]] == Simplex(s).faces()
+            assert [f.simplices[rows[i]] for i in f.faces(p)[j]] == [
+                s[:i] + s[i + 1 :] for i in range(len(s))
+            ]
 
 
 def test_boundary_squares_to_zero_matrix():
@@ -245,6 +274,29 @@ def test_boundary_chain_errors():
         boundary(Chain(2, {3: 1}), f)  # index 3 is an edge, not a triangle
     with pytest.raises(ValueError):
         boundary(Chain(1, {3: 1}), f, "f7")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=9),
+    max_dim=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_boundary_matches_tuple_slicing(n, max_dim, seed, data):
+    rng = np.random.default_rng(seed)
+    pc = LabeledPointCloud(points=rng.random((n, 2)), labels=np.arange(n, dtype=float))
+    f = build_rips(pc, RipsConfig(max_dim=max_dim))
+    p = data.draw(st.integers(min_value=1, max_value=f.max_dim))
+    members = data.draw(
+        st.lists(st.sampled_from(f.dim_indices(p).tolist()), unique=True, max_size=12)
+    )
+    coefs = data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(members), max_size=len(members))
+    )
+    c = Chain(p, dict(zip(members, coefs)))
+    for mode in (F2, REAL):
+        assert boundary(c, f, mode).entries == naive_boundary(f, c.entries, mode)
 
 
 def test_f2_boundary_is_real_mod2():
@@ -381,11 +433,12 @@ def test_random_two_skeletons(n, data):
     f = full_two_skeleton(dist)
 
     # faces never come after cofaces
+    index = simplex_index(f)
     for g, s in enumerate(f.simplices):
         if len(s) == 1:
             continue
-        for face in Simplex(s).faces():
-            assert f.index[face] < g
+        for i in range(len(s)):
+            assert index[s[:i] + s[i + 1 :]] < g
 
     b1 = boundary_matrix(f, 0, REAL).matrix
     b2 = boundary_matrix(f, 1, REAL).matrix

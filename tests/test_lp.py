@@ -18,7 +18,8 @@ from _f2 import gray_code_optimum, is_cycle
 
 
 def chain_over(f, edges):
-    return Chain(1, {f.index[tuple(sorted(e))]: 1 for e in edges})
+    index = {s: i for i, s in enumerate(f.simplices)}
+    return Chain(1, {index[tuple(sorted(e))]: 1 for e in edges})
 
 
 def pentagon_with_chord():

@@ -106,7 +106,8 @@ def test_radius_cap_prunes():
 def test_coincident_points():
     pts = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
     f = build_rips(cloud(pts), RipsConfig(max_dim=1))
-    assert f.value(f.index[(0, 1)]) == 0.0
+    index = {s: i for i, s in enumerate(f.simplices)}
+    assert f.value(index[(0, 1)]) == 0.0
     assert f.n_simplices(2) == 1
 
 

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronocycle.complexes import Simplex
 from chronocycle.weights import (
     KINDS,
     WeightMatrix,
@@ -28,7 +27,7 @@ def test_simplex_time_label():
     assert simplex_time_label((0, 1), labels) == pytest.approx(PI / 2)
     labels = {0: PI / 2, 1: PI, 2: 2 * PI}
     assert simplex_time_label((0, 1, 2), labels) == pytest.approx(7 * PI / 6)
-    assert simplex_time_label(Simplex((0,)), {0: 3.0}) == 3.0
+    assert simplex_time_label((0,), {0: 3.0}) == 3.0
 
 
 def test_vertex_weights():
@@ -124,9 +123,6 @@ def test_dispersion_on_hexagon(labeled):
         hex_edges.append(tuple(sorted((va, vb))))
     # labels span pi/3 .. 2 pi over the six hexagon edges
     assert support_dispersion(hex_edges, labels) == pytest.approx(5 * PI / 3)
-    # Simplex objects and plain tuples give the same dispersion
-    simplices = [Simplex(e) for e in hex_edges]
-    assert support_dispersion(simplices, labels) == pytest.approx(5 * PI / 3)
 
 
 def test_dispersion_zero_chain_errors(labeled):

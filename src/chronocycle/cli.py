@@ -297,10 +297,10 @@ def _reduced_subsample(cfg: PipelineConfig, k: int):
     idx = subsample_indices(len(pc), min(k, len(pc)))
     cloud = LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
     rips_cfg = cfg.rips_config()
-    total = sum(count_rips_simplices(cloud.points, rips_cfg))
+    total = sum(count_rips_simplices(cloud.points, rips_cfg, cap=cfg.simplex_cap))
     if total > cfg.simplex_cap:
         raise DataError(
-            f"simplex budget exceeded: {total} simplices > cap {cfg.simplex_cap}"
+            f"simplex budget exceeded: at least {total} simplices > cap {cfg.simplex_cap}"
             " (lower max_radius, max_dim, or the subsample size)"
         )
     filt = build_rips(cloud, rips_cfg)

@@ -1,12 +1,16 @@
 """Simplicial complexes, filtrations, chains and boundary operators.
 
-A simplex is a strictly increasing tuple of vertex ids, validated by the
-filtration that holds it; there is no separate simplex type.  Chains are
-sparse maps from filtration index to coefficient; the coefficient domain is
-either F2 (persistence reduction) or the reals (signed boundary matrices for
-the cycle optimization LP).  The oriented boundary uses the increasing
-vertex-id orientation: the face dropping vertex position i carries sign
-(-1)**i.
+A filtration holds its simplices in one form: a sorted int array with a row
+of vertex ids per simplex, padded with -1, validated when it is built.  The
+public face of a simplex is a strictly increasing tuple of vertex ids, read
+off that array one at a time through the ``simplices`` view; there is no
+separate simplex type.
+
+Chains are sparse maps from filtration index to coefficient; the
+coefficient domain is either F2 (persistence reduction) or the reals
+(signed boundary matrices for the cycle optimization LP).  The oriented
+boundary uses the increasing vertex-id orientation: the face dropping vertex
+position i carries sign (-1)**i.
 
 A filtration finds every face of every simplex once, when it is built: per
 dimension, an integer array gives each p-simplex's faces as local indices
@@ -18,9 +22,9 @@ each boundary matrix is built once and cached.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,11 +58,79 @@ class Chain:
         )
 
 
+class SimplexView(Sequence):
+    """Read-only sequence of a filtration's simplices as vertex tuples.
+
+    Each access builds the one tuple asked for from the filtration's vertex
+    array; no list of all simplices is ever held.  Compares equal to a list
+    or tuple of the same vertex tuples.
+    """
+
+    __slots__ = ("_verts", "_lens")
+
+    def __init__(self, verts: np.ndarray, lens: np.ndarray):
+        self._verts = verts
+        self._lens = lens
+
+    def __len__(self) -> int:
+        return len(self._verts)
+
+    def __getitem__(self, g):
+        return tuple(self._verts[g, : self._lens[g]].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SimplexView, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _levels_of_pairs(simplices) -> list[tuple[np.ndarray, list[float]]]:
+    """(vertex array, values) per vertex count of (vertices, value) pairs."""
+    groups: dict[int, tuple[list, list]] = {}
+    for verts, value in simplices:
+        verts = tuple(verts)
+        group = groups.setdefault(len(verts), ([], []))
+        group[0].append(verts)
+        group[1].append(value)
+    return [(np.array(vs, dtype=np.int64), vals) for vs, vals in groups.values()]
+
+
+def _pad(levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One vertex array, left-aligned and padded with -1, the vertex count
+    of each row and the values, from (m, k+1) vertex arrays and m values."""
+    levels = [(np.asarray(s, dtype=np.int64), np.asarray(v, dtype=float))
+              for s, v in levels]
+    if sum(len(v) for _, v in levels) == 0:
+        raise ValueError("empty filtration")
+    if any(s.ndim != 2 or v.shape != (len(s),) for s, v in levels):
+        raise ValueError("each level needs an (m, k+1) vertex array and m values")
+    width = max(s.shape[1] for s, _ in levels)
+    padded = np.concatenate([
+        np.pad(s, ((0, 0), (0, width - s.shape[1])), constant_values=-1)
+        for s, _ in levels
+    ])
+    lens = np.concatenate([np.full(len(s), s.shape[1]) for s, _ in levels])
+    values = np.concatenate([v for _, v in levels])
+    return padded, lens, values
+
+
 class Filtration:
     """Ordered simplices with filtration values.
 
     The order is (value, dimension, lexicographic vertices), which puts every
     face before its cofaces and makes downstream reduction deterministic.
+    A filtration is built from either ``simplices``, an iterable of
+    (vertices, value) pairs in any order, or ``levels``, one (m, k+1) vertex
+    array and m values per dimension (the Rips builder's output).  Both are
+    turned into the one form kept: a read-only int array with a row per
+    simplex in filtration order, vertex ids left-aligned and padded with -1.
+    ``simplices`` is a view of it that builds one vertex tuple per access.
+
     Construction validates each simplex (non-empty, strictly increasing,
     non-negative ids, no duplicates), closure under faces and value
     monotonicity, and keeps the face index that check computes:
@@ -66,38 +138,29 @@ class Filtration:
     face.
     """
 
-    def __init__(self, simplices: Iterable[tuple[Iterable[int], float]]):
-        items = list(simplices)
-        if not items:
-            raise ValueError("empty filtration")
-        verts = [s for s, _ in items]
-        # reorder the caller's tuples when they are already plain int tuples;
-        # rebuilding half a million of them would cost more than the sort
-        if set(map(type, verts)) != {tuple} or set(
-            map(type, itertools.chain.from_iterable(verts))
-        ) - {int}:
-            verts = [tuple(int(x) for x in s) for s in verts]
-        values = np.array([v for _, v in items], dtype=float)
-        lens = np.fromiter(map(len, verts), dtype=np.int64, count=len(verts))
+    def __init__(
+        self,
+        simplices: Optional[Iterable[tuple[Iterable[int], float]]] = None,
+        *,
+        levels: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
+    ):
+        if (simplices is None) == (levels is None):
+            raise TypeError("pass exactly one of simplices and levels")
+        if levels is None:
+            levels = _levels_of_pairs(simplices)
+        padded, lens, values = _pad(levels)
         if lens.min() == 0:
             raise ValueError("simplex needs at least one vertex")
         if not np.all(values >= 0):
             raise ValueError("filtration values must be non-negative")
-        flat = np.fromiter(
-            itertools.chain.from_iterable(verts), dtype=np.int64, count=int(lens.sum())
-        )
-        if flat.min() < 0:
+        if np.any(padded[np.arange(padded.shape[1]) < lens[:, None]] < 0):
             raise ValueError("vertex ids must be non-negative")
-        # one row per simplex, vertices left-aligned and padded with -1
-        padded = np.full((len(verts), int(lens.max())), -1, dtype=np.int64)
-        starts = np.cumsum(lens) - lens
-        padded[np.repeat(np.arange(len(verts)), lens),
-               np.arange(len(flat)) - np.repeat(starts, lens)] = flat
         order = np.lexsort((*padded.T[::-1], lens, values))
-        padded = padded[order]
-        self.simplices: list[tuple[int, ...]] = [verts[i] for i in order.tolist()]
+        padded, lens = padded[order], lens[order]
+        padded.flags.writeable = False
+        self.simplices = SimplexView(padded, lens)
         self.values: np.ndarray = values[order]
-        self.dims: np.ndarray = (lens[order] - 1).astype(np.int32)
+        self.dims: np.ndarray = (lens - 1).astype(np.int32)
         self.max_dim: int = int(self.dims.max())
         # global indices of the p-simplices, in filtration order, per dimension
         self._by_dim: list[np.ndarray] = [
@@ -166,7 +229,7 @@ class Filtration:
         return faces
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.values)
 
     def value(self, i: int) -> float:
         return float(self.values[i])

@@ -71,14 +71,12 @@ def restrict_sets(
     P = _alive_prefix(f, p, b)
     if len(P) == 0:
         raise ValueError("no simplices alive")
-    alive_q = _alive_prefix(f, p + 1, b)
     blk = dec.blocks.get(p + 1)
-    qhat = []
-    if blk is not None:
-        for local_j in range(len(alive_q)):
-            if blk.r[local_j]:
-                qhat.append(int(blk.cols[local_j]))
-    return P, np.array(qhat, dtype=int)
+    if blk is None:
+        return P, np.array([], dtype=int)
+    # a column's low is -1 exactly when its reduced column is zero
+    low = np.array(blk.low[: len(_alive_prefix(f, p + 1, b))], dtype=int)
+    return P, blk.cols[np.flatnonzero(low >= 0)]
 
 
 def build_lp(

@@ -4,12 +4,26 @@ Simplices enter at the maximum pairwise distance among their vertices.
 Vertex ids are the point indices of the cloud, so downstream consumers can
 look up time labels directly.  Simplices are built up to dimension
 max_dim + 1 so that homology through max_dim is computable.
+
+The expansion works on int arrays, as Ripser enumerates cofacets from
+adjacency without simplex objects: each dimension is an (m, k+1) array of
+vertex ids in lexicographic order.  The next dimension grows in row chunks:
+the adjacency rows of each simplex's vertices, restricted to vertices above
+the simplex's last one, are ANDed, and ``np.nonzero`` lists the new
+simplices, again in lexicographic order.  A new simplex's value is the
+larger of its parent's value and its distances to the new vertex.
+
+``count_rips_simplices`` builds every level but the top one, whose size is
+the popcount of the same masks.  With a ``cap`` it stops as soon as the
+running total passes the cap, so a size guard refuses oversized work before
+doing it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -17,6 +31,9 @@ from scipy.spatial.distance import pdist, squareform
 from .complexes import Filtration
 
 ENCLOSING = "enclosing"
+
+# mask entries per expansion chunk: bounds the memory of one chunk
+_CHUNK = 1 << 20
 
 
 @dataclass
@@ -41,49 +58,96 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
     return squareform(pdist(pts))
 
 
-def _expand(prev, prev_vals, adj, dist):
-    """Grow k-simplices from (k-1)-simplices by appending larger neighbors
-    adjacent to every vertex."""
-    out, vals = [], []
-    for verts, val in zip(prev, prev_vals):
-        common = np.logical_and.reduce(adj[list(verts)])
-        for k in np.flatnonzero(common):
-            if k <= verts[-1]:
-                continue
-            out.append(verts + (int(k),))
-            vals.append(max(val, float(dist[list(verts), k].max())))
-    return out, vals
-
-
-def _rips_levels(points, cfg: RipsConfig):
-    """Yield (simplices, values) of each dimension in turn, vertices first;
-    the one expansion behind both the count and the build."""
+def _graph(points, cfg: RipsConfig):
+    """Distance matrix and upper adjacency: up[i, j] when j > i and the
+    points are within the radius."""
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty point cloud")
     dist = distance_matrix(pts)
+    up = np.triu(dist <= cfg.radius(dist), 1)
+    return dist, up
+
+
+def _cofaces(simp: np.ndarray, up: np.ndarray):
+    """Yield (first row, mask) per row chunk of the k-simplices ``simp``;
+    mask[r, v] says that appending vertex v to simplex first + r gives a
+    (k+1)-simplex."""
+    step = max(1, _CHUNK // up.shape[1])
+    for start in range(0, len(simp), step):
+        block = simp[start:start + step]
+        mask = up[block[:, 0]]
+        for i in range(1, block.shape[1]):
+            mask &= up[block[:, i]]
+        yield start, mask
+
+
+def _count(simp: np.ndarray, up: np.ndarray, limit: float) -> int:
+    """Number of (k+1)-simplices over ``simp``; stops early once past limit."""
+    total = 0
+    for _, mask in _cofaces(simp, up):
+        total += int(np.count_nonzero(mask))
+        if total > limit:
+            break
+    return total
+
+
+def _expand(simp: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k+1)-simplices over ``simp`` in lexicographic order, and for
+    each the row of its parent k-simplex."""
+    rows, verts = [], []
+    for start, mask in _cofaces(simp, up):
+        r, v = np.nonzero(mask)
+        rows.append(r + start)
+        verts.append(v)
+    rows, verts = np.concatenate(rows), np.concatenate(verts)
+    return np.column_stack([simp[rows], verts]), rows
+
+
+def _rips_levels(points, cfg: RipsConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(simplices, values) of each non-empty dimension, vertices first."""
+    dist, up = _graph(points, cfg)
     n = len(dist)
-    adj = dist <= cfg.radius(dist)
-    np.fill_diagonal(adj, False)
-    simp, vals = [(i,) for i in range(n)], [0.0] * n
-    yield simp, vals
+    simp, vals = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
+    levels = [(simp, vals)]
     for _ in range(cfg.max_dim + 1):
-        simp, vals = _expand(simp, vals, adj, dist)
-        if not simp:
-            return
-        yield simp, vals
+        simp, parent = _expand(simp, up)
+        if len(simp) == 0:
+            break
+        new_dist = dist[simp[:, :-1], simp[:, -1:]].max(axis=1)
+        vals = np.maximum(vals[parent], new_dist)
+        levels.append((simp, vals))
+    return levels
 
 
-def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
-    """Per-dimension simplex counts of build_rips without building the
-    filtration (memory guard and sanity checks)."""
-    return [len(simp) for simp, _ in _rips_levels(points, cfg)]
+def count_rips_simplices(points, cfg: RipsConfig,
+                         cap: Optional[int] = None) -> list[int]:
+    """Per-dimension simplex counts of build_rips; the top dimension is
+    counted and never built.
+
+    With a cap, counting stops as soon as the running total passes it: the
+    counts then end at the dimension that passed, that count is partial,
+    and their sum exceeds the cap.  Without one they are exact.
+    """
+    _, up = _graph(points, cfg)
+    limit = math.inf if cap is None else cap
+    simp = np.arange(len(up), dtype=np.int64)[:, None]
+    counts = [len(simp)]
+    for k in range(cfg.max_dim + 1):  # count the (k+1)-simplices
+        if sum(counts) > limit:
+            break
+        if k:  # build the k-simplices just counted, to count the next level
+            simp = _expand(simp, up)[0]
+        m = _count(simp, up, limit - sum(counts))
+        if m == 0:
+            break
+        counts.append(m)
+    return counts
 
 
 def build_rips(pc, cfg: RipsConfig) -> Filtration:
     """Rips filtration of the cloud; vertices at 0, simplex value = diameter."""
     if len(pc.points) == 1:
         raise ValueError("need at least 2 points")
-    # a list, so the expansion runs here and not lazily inside Filtration
-    simplices = [item for level in _rips_levels(pc.points, cfg) for item in zip(*level)]
-    return Filtration(simplices)
+    # expanded here, so the work is the Rips builder's and not Filtration's
+    return Filtration(levels=_rips_levels(pc.points, cfg))

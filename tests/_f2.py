@@ -1,11 +1,13 @@
-"""Independent F2 linear algebra used to verify the package's reduction and
-LP results.  Everything here is deliberately naive (dense numpy mod-2
-matrices, textbook algorithms) so it shares no code paths with the library.
+"""Independent references used to verify the package's Rips expansion,
+reduction and LP results.  Everything here is deliberately naive (tuple
+expansion, dense numpy mod-2 matrices, textbook algorithms) so it shares no
+code paths with the library.
 """
 
 import math
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 
 def rank2(M) -> int:
@@ -242,3 +244,30 @@ def full_reduction(f):
                 low.append(-1)
         blocks[p] = (r, low, adds)
     return blocks
+
+
+def rips_simplices(points, max_dim, radius=None):
+    """(vertex tuple, value) of every Rips simplex through dimension
+    max_dim + 1, by growing tuples one vertex at a time; ``radius`` None is
+    the enclosing radius.  Values are the parent's value or the distances to
+    the new vertex, whichever is larger."""
+    pts = np.asarray(points, dtype=float)
+    dist = squareform(pdist(pts))
+    adj = dist <= (dist.max() if radius is None else radius)
+    np.fill_diagonal(adj, False)
+    level = [((i,), 0.0) for i in range(len(pts))]
+    out = list(level)
+    for _ in range(max_dim + 1):
+        grown = []
+        for verts, val in level:
+            common = np.logical_and.reduce(adj[list(verts)])
+            for k in np.flatnonzero(common):
+                if k > verts[-1]:
+                    grown.append(
+                        (verts + (int(k),), max(val, float(dist[list(verts), k].max())))
+                    )
+        if not grown:
+            break
+        out += grown
+        level = grown
+    return out

@@ -71,6 +71,23 @@ def test_embed_constant_series_is_data_error(tmp_path, capsys):
     assert "empty spectrum" in capsys.readouterr().err
 
 
+def test_ph_over_simplex_cap_is_refused_before_building(tmp_path, capsys,
+                                                       monkeypatch):
+    out = str(tmp_path)
+    assert run(["synth", "--out-dir", out, "--kind", "noisy_sine",
+                "--n", "64", "--seed", "5"]) == 0
+    assert run(["embed", "--out-dir", out, "--tau-count", "20"]) == 0
+    capsys.readouterr()
+
+    def build_rips(*args):
+        raise AssertionError("Rips built past the simplex cap")
+
+    monkeypatch.setattr(cli, "build_rips", build_rips)
+    assert run(["ph", "--out-dir", out, "--simplex-cap", "10"]) == 2
+    assert "simplex budget exceeded" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "diagram.json"))
+
+
 def test_missing_inputs_are_data_errors(tmp_path):
     out = str(tmp_path)
     assert run(["embed", "--out-dir", out]) == 2

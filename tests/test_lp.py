@@ -256,3 +256,19 @@ def test_oracle_agrees_with_subset_enumeration():
             assert sol.objective == pytest.approx(best, rel=1e-9)
         checked += 1
     assert checked >= 3
+
+
+def test_restrict_sets_matches_column_loop():
+    # Qhat: the alive (p+1)-simplices whose reduced column R is nonzero, in
+    # filtration order, as a loop over the block's columns finds them
+    for seed in range(6):
+        f, _ = rips_instance(seed, n=9)
+        dec = reduce(f)
+        blk = dec.blocks[2]
+        for b in np.unique(f.values[f.dim_indices(1)]):
+            P, Qhat = restrict_sets(f, dec, 1, b)
+            alive = int(np.sum(f.values[f.dim_indices(2)] <= b + 1e-9 * (1 + b)))
+            loop = [int(blk.cols[j]) for j in range(alive) if blk.r[j]]
+            assert Qhat.dtype == np.array(loop, dtype=int).dtype
+            assert Qhat.tolist() == loop
+            assert P.tolist() == [g for g in f.dim_indices(1) if f.values[g] <= b]

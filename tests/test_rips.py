@@ -3,8 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
+from chronocycle import rips
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.reduction import reduce
 from chronocycle.rips import (
@@ -14,6 +17,8 @@ from chronocycle.rips import (
     count_rips_simplices,
     distance_matrix,
 )
+
+from _f2 import rips_simplices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,3 +146,55 @@ def test_circle_loop_outlives_twice_its_birth():
     top = max(ones, key=lambda pr: pr.persistence)
     assert top.birth == pytest.approx(2 * math.sin(math.pi / 20), rel=1e-9)
     assert top.death / top.birth > 2.0
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=11),
+    max_dim=st.integers(min_value=1, max_value=3),
+    enclosing=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_expansion_matches_tuple_reference(n, max_dim, enclosing, seed):
+    # points on a coarse grid, so coincident points and tied distances occur
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+    radius = ENCLOSING if enclosing else float(rng.choice([1.0, 1.5, 2.3]))
+    cfg = RipsConfig(max_dim=max_dim, max_radius=radius)
+    f = build_rips(cloud(pts), cfg)
+    expected = sorted(
+        rips_simplices(pts, max_dim, None if enclosing else radius),
+        key=lambda t: (t[1], len(t[0]), t[0]),
+    )
+    assert f.simplices == [s for s, _ in expected]
+    assert f.values.tobytes() == np.array([v for _, v in expected]).tobytes()
+    built = [f.n_simplices(p) for p in range(f.max_dim + 1)]
+    assert count_rips_simplices(pts, cfg) == built
+
+
+def test_count_stops_past_the_cap(monkeypatch):
+    # 936 points at the enclosing radius: 437,580 edges and about 1.4e8
+    # triangles; the cap is passed while counting triangles, which are
+    # never built
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((936, 4))
+    grown = []
+    expand = rips._expand
+    monkeypatch.setattr(
+        rips, "_expand", lambda simp, up: grown.append(simp.shape[1]) or expand(simp, up)
+    )
+    counts = count_rips_simplices(pts, RipsConfig(max_dim=2), cap=5_000_000)
+    assert counts[:2] == [936, math.comb(936, 2)]
+    assert len(counts) == 3
+    assert 5_000_000 < sum(counts) < math.comb(936, 3)
+    assert grown == [1]  # only the edges were built
+
+
+def test_count_cap_bounds():
+    pts = np.random.default_rng(5).standard_normal((10, 2))
+    cfg = RipsConfig(max_dim=1)
+    full = count_rips_simplices(pts, cfg)
+    assert full == [10, 45, 120]
+    assert count_rips_simplices(pts, cfg, cap=sum(full)) == full
+    assert count_rips_simplices(pts, cfg, cap=9) == [10]
+    assert sum(count_rips_simplices(pts, cfg, cap=60)) > 60

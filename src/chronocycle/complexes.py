@@ -12,12 +12,22 @@ coefficient domain is either F2 (persistence reduction) or the reals
 boundary uses the increasing vertex-id orientation: the face dropping vertex
 position i carries sign (-1)**i.
 
+A filtration sorts no vertices that are already in order.  Each dimension's
+rows are brought into lexicographic order; the Rips builder's levels already
+are, which one pass over consecutive rows confirms, and equal rows, the
+duplicates, are then adjacent.  One stable sort of the values, over the
+dimensions concatenated in ascending order, then gives the (value,
+dimension, lexicographic) filtration order.
+
 A filtration finds every face of every simplex once, when it is built: per
 dimension, an integer array gives each p-simplex's faces as local indices
-into the (p-1)-simplices, in vertex-deletion order.  This face index is the
-only face lookup: the closure check runs on it, boundary matrices, chain
-boundaries, orientation and the persistence reduction are built from it, and
-each boundary matrix is built once and cached.
+into the (p-1)-simplices, in vertex-deletion order.  The faces are looked up
+among the lexicographically ordered (p-1)-simplices, whose keys already
+ascend, and each dimension's inverse permutation maps the positions found
+to filtration order.  This face index is the only face lookup: the closure
+check runs on it, boundary matrices, chain boundaries, orientation and the
+persistence reduction are built from it, and each boundary matrix is built
+once and cached.
 """
 
 from __future__ import annotations
@@ -97,26 +107,79 @@ def _levels_of_pairs(simplices) -> list[tuple[np.ndarray, list[float]]]:
         group = groups.setdefault(len(verts), ([], []))
         group[0].append(verts)
         group[1].append(value)
-    return [(np.array(vs, dtype=np.int64), vals) for vs, vals in groups.values()]
+    return [(np.array(vs), vals) for vs, vals in groups.values()]
 
 
-def _pad(levels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One vertex array, left-aligned and padded with -1, the vertex count
-    of each row and the values, from (m, k+1) vertex arrays and m values."""
-    levels = [(np.asarray(s, dtype=np.int64), np.asarray(v, dtype=float))
-              for s, v in levels]
-    if sum(len(v) for _, v in levels) == 0:
+def _vertex_ids(s) -> np.ndarray:
+    """The vertex array as int64; raises unless every id is an integer."""
+    s = np.asarray(s)
+    if s.dtype.kind in "iu":
+        return s.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            ids = s.astype(np.int64)
+    except (TypeError, ValueError):
+        raise ValueError("vertex ids must be integers") from None
+    if not np.array_equal(ids, s):
+        raise ValueError("vertex ids must be integers")
+    return ids
+
+
+def _lex_steps(s: np.ndarray) -> np.ndarray:
+    """Sign of the lexicographic step from each row of s to the next."""
+    a, b = s[:-1], s[1:]
+    step = np.sign(b[:, -1] - a[:, -1])
+    for c in range(s.shape[1] - 2, -1, -1):
+        d = np.sign(b[:, c] - a[:, c])
+        step = np.where(d != 0, d, step)
+    return step
+
+
+def _sorted_levels(levels) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Validated (vertex array, values) per vertex count, ascending, each
+    with its rows in lexicographic order.
+
+    Rows already in that order, as the Rips builder delivers them, are
+    confirmed by one pass over consecutive rows; other levels are sorted.
+    Equal rows are then adjacent, which is where duplicates are found.
+    """
+    by_width: dict[int, list] = {}
+    for s, v in levels:
+        s, v = _vertex_ids(s), np.asarray(v, dtype=float)
+        if s.ndim != 2 or v.shape != (len(s),):
+            raise ValueError("each level needs an (m, k+1) vertex array and m values")
+        if len(s):
+            by_width.setdefault(s.shape[1], []).append((s, v))
+    if not by_width:
         raise ValueError("empty filtration")
-    if any(s.ndim != 2 or v.shape != (len(s),) for s, v in levels):
-        raise ValueError("each level needs an (m, k+1) vertex array and m values")
-    width = max(s.shape[1] for s, _ in levels)
-    padded = np.concatenate([
-        np.pad(s, ((0, 0), (0, width - s.shape[1])), constant_values=-1)
-        for s, _ in levels
-    ])
-    lens = np.concatenate([np.full(len(s), s.shape[1]) for s, _ in levels])
-    values = np.concatenate([v for _, v in levels])
-    return padded, lens, values
+    if 0 in by_width:
+        raise ValueError("simplex needs at least one vertex")
+    out = []
+    for width in sorted(by_width):
+        parts = by_width[width]
+        s = np.concatenate([s for s, _ in parts])
+        v = np.concatenate([v for _, v in parts])
+        if not np.all(v >= 0):
+            raise ValueError("filtration values must be non-negative")
+        if s.min() < 0:
+            raise ValueError("vertex ids must be non-negative")
+        if np.any(s[:, 1:] <= s[:, :-1]):
+            bad = np.flatnonzero(np.any(s[:, 1:] <= s[:, :-1], axis=1))
+            raise ValueError(
+                f"vertices must be strictly increasing, got {tuple(s[bad[0]].tolist())}"
+            )
+        steps = _lex_steps(s)
+        if np.any(steps < 0):
+            order = np.lexsort(s.T[::-1])
+            s, v = s[order], v[order]
+            steps = _lex_steps(s)
+        dup = np.flatnonzero(steps == 0)
+        if len(dup):
+            raise ValueError(
+                f"duplicate simplex {tuple(s[dup[0]].tolist())} in filtration"
+            )
+        out.append((s, v))
+    return out
 
 
 class Filtration:
@@ -131,8 +194,14 @@ class Filtration:
     simplex in filtration order, vertex ids left-aligned and padded with -1.
     ``simplices`` is a view of it that builds one vertex tuple per access.
 
+    Each dimension's rows are first brought into lexicographic order (Rips
+    levels already are, which one pass confirms); one stable sort of the
+    values of the dimensions, concatenated in ascending dimension, then
+    gives the (value, dimension, lexicographic) order without a sort on
+    vertices.
+
     Construction validates each simplex (non-empty, strictly increasing,
-    non-negative ids, no duplicates), closure under faces and value
+    non-negative integer ids, no duplicates), closure under faces and value
     monotonicity, and keeps the face index that check computes:
     ``faces(p)`` gives, for each p-simplex, the local (p-1)-index of each
     face.
@@ -148,84 +217,87 @@ class Filtration:
             raise TypeError("pass exactly one of simplices and levels")
         if levels is None:
             levels = _levels_of_pairs(simplices)
-        padded, lens, values = _pad(levels)
-        if lens.min() == 0:
-            raise ValueError("simplex needs at least one vertex")
-        if not np.all(values >= 0):
-            raise ValueError("filtration values must be non-negative")
-        if np.any(padded[np.arange(padded.shape[1]) < lens[:, None]] < 0):
-            raise ValueError("vertex ids must be non-negative")
-        order = np.lexsort((*padded.T[::-1], lens, values))
-        padded, lens = padded[order], lens[order]
-        padded.flags.writeable = False
-        self.simplices = SimplexView(padded, lens)
+        levels = _sorted_levels(levels)
+        for p, (s, _) in enumerate(levels):
+            if s.shape[1] != p + 1:  # no (p-1)-simplices below these
+                s = tuple(s[0].tolist())
+                raise ValueError(f"face {s[1:]} of {s} missing from filtration")
+        counts = [len(s) for s, _ in levels]
+        start = np.cumsum([0] + counts)
+        values = np.concatenate([v for _, v in levels])
+        order = np.argsort(values, kind="stable")
         self.values: np.ndarray = values[order]
-        self.dims: np.ndarray = (lens - 1).astype(np.int32)
-        self.max_dim: int = int(self.dims.max())
+        self.dims: np.ndarray = np.repeat(
+            np.arange(len(levels), dtype=np.int32), counts
+        )[order]
+        self.max_dim: int = len(levels) - 1
+        verts = np.full((len(values), len(levels)), -1, dtype=np.int64)
+        for p, (s, _) in enumerate(levels):
+            verts[start[p]:start[p + 1], : p + 1] = s
+        verts = np.take(verts, order, axis=0)
+        verts.flags.writeable = False
+        self.simplices = SimplexView(verts, self.dims + 1)
         # global indices of the p-simplices, in filtration order, per dimension
         self._by_dim: list[np.ndarray] = [
             np.flatnonzero(self.dims == p) for p in range(self.max_dim + 1)
         ]
-        self._faces = self._face_index(padded)
+        # lexicographic position within its level of each p-simplex, in
+        # filtration order
+        lex = [order[g] - start[p] for p, g in enumerate(self._by_dim)]
+        self._faces = self._face_index(levels, lex)
         self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
-    def _face_index(self, padded) -> list[np.ndarray]:
-        """Local face indices per dimension, checking the simplices on the way.
+    @staticmethod
+    def _face_index(levels, lex) -> list[np.ndarray]:
+        """Local face indices per dimension, checking closure and values.
 
         Vertex ids are replaced by their ranks among the 0-simplices, and a
         vertex that is not a 0-simplex by the rank one past the last, which
         no face lookup can find.  Each (p-1)-simplex is keyed by its ranks
-        read as base-(n+1) digits; the faces of all p-simplices are located
-        among the sorted keys with one ``searchsorted`` per deleted vertex
-        position.  The first and last faces fix a p-simplex, so duplicates
-        are found among pairs of face indices.
+        read as base-(n+1) digits; in lexicographic row order these keys
+        ascend, so the faces of all p-simplices are located with one
+        ``searchsorted`` per deleted vertex position.  The positions found
+        are lexicographic; each dimension's inverse permutation turns them
+        into filtration-local indices.
         """
-        right = padded[:, 1:]  # -1 marks padding
-        bad = np.flatnonzero(np.any((right <= padded[:, :-1]) & (right >= 0), axis=1))
-        if len(bad):
-            raise ValueError(
-                f"vertices must be strictly increasing, got {self.simplices[bad[0]]}"
-            )
-        ids = np.sort(padded[self._by_dim[0], 0])
-        if np.any(ids[1:] == ids[:-1]):
-            raise ValueError("duplicate simplex in filtration")
-        rank = np.searchsorted(ids, padded)
-        rank[np.append(ids, -1)[rank] != padded] = len(ids)
-        base = len(ids) + 1
+        ids = levels[0][0][:, 0]
+        n = len(ids)
+        keys = np.arange(n)
         faces = [np.empty((0, 0), dtype=np.int64)]
-        r = rank[self._by_dim[0], :1]
-        for p in range(1, self.max_dim + 1):
-            keys = np.ravel_multi_index(r.T, (base,) * p)
-            by_key = np.argsort(keys)
+        for p in range(1, len(levels)):
+            s, value = levels[p]
+            rank = [np.searchsorted(ids, s[:, c]) for c in range(p + 1)]
+            for c, r in enumerate(rank):
+                r[np.append(ids, -1)[r] != s[:, c]] = n
             # the -1 sentinel is what a face key past the last key meets
-            keys = np.append(keys[by_key], -1)
-            r = rank[self._by_dim[p], : p + 1]
-            local = np.empty(r.shape, dtype=np.int64)
+            found = np.append(keys, -1)
+            below = levels[p - 1][1]
+            # local index of each lexicographic (p-1)-simplex
+            local = np.empty(len(lex[p - 1]), dtype=np.int64)
+            local[lex[p - 1]] = np.arange(len(local))
+            out = np.empty(s.shape, dtype=np.int64)
             for i in range(p + 1):
-                face_keys = np.ravel_multi_index(np.delete(r, i, axis=1).T, (base,) * p)
-                pos = np.searchsorted(keys[:-1], face_keys)
-                missing = np.flatnonzero(keys[pos] != face_keys)
+                face_keys = np.ravel_multi_index((*rank[:i], *rank[i + 1:]), (n + 1,) * p)
+                pos = np.searchsorted(keys, face_keys)
+                missing = np.flatnonzero(found[pos] != face_keys)
                 if len(missing):
-                    s = self.simplices[self._by_dim[p][missing[0]]]
+                    t = tuple(s[missing[0]].tolist())
                     raise ValueError(
-                        f"face {s[:i] + s[i + 1:]} of {s} missing from filtration"
+                        f"face {t[:i] + t[i + 1:]} of {t} missing from filtration"
                     )
-                local[:, i] = by_key[pos]
-            pair = np.sort(local[:, 0] * len(keys) + local[:, p])
-            if np.any(pair[1:] == pair[:-1]):
-                raise ValueError("duplicate simplex in filtration")
-            local.flags.writeable = False
-            value = self.values[self._by_dim[p]]
-            face_value = self.values[self._by_dim[p - 1]][local]
-            late = np.argwhere(face_value > value[:, None] + 1e-12)
-            if len(late):
-                j, i = late[0]
-                s = self.simplices[self._by_dim[p][j]]
-                raise ValueError(
-                    f"face {s[:i] + s[i + 1:]} enters at {face_value[j, i]} "
-                    f"after coface {s} at {value[j]}"
-                )
-            faces.append(local)
+                late = np.flatnonzero(below[pos] > value + 1e-12)
+                if len(late):
+                    j = late[0]
+                    t = tuple(s[j].tolist())
+                    raise ValueError(
+                        f"face {t[:i] + t[i + 1:]} enters at {below[pos[j]]} "
+                        f"after coface {t} at {value[j]}"
+                    )
+                out[:, i] = local[pos[lex[p]]]
+            if p + 1 < len(levels):
+                keys = np.ravel_multi_index(tuple(rank), (n + 1,) * (p + 1))
+            out.flags.writeable = False
+            faces.append(out)
         return faces
 
     def __len__(self) -> int:

@@ -10,6 +10,7 @@ Embedded points carry the start time of their window as a time label.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +141,16 @@ def _omega_matrix(s: SpectrumSupport, d: int, tau: float) -> np.ndarray:
     return np.exp(1j * m * (tau * np.array(ws))[None, :])
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the strict upper triangle of a k x k matrix;
+    the same k serves every delay of a scan."""
+    iu = np.triu_indices(k, 1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def orthogonality_score(s: SpectrumSupport, d: int, tau: float) -> float:
     """Mean |<col_a, col_b>| / d over distinct column pairs of the window
     exponential matrix; 0 means perfectly orthogonal columns."""
@@ -147,9 +158,7 @@ def orthogonality_score(s: SpectrumSupport, d: int, tau: float) -> float:
         raise ValueError("delay must be positive")
     M = _omega_matrix(s, d, tau)
     G = np.abs(M.conj().T @ M) / d
-    k = G.shape[0]
-    iu = np.triu_indices(k, 1)
-    return float(G[iu].mean())
+    return float(G[_upper_pairs(G.shape[0])].mean())
 
 
 def delay_curve(s: SpectrumSupport, d: int, tau_grid) -> list[tuple[float, float]]:

@@ -75,7 +75,7 @@ def restrict_sets(
     if blk is None:
         return P, np.array([], dtype=int)
     # a column's low is -1 exactly when its reduced column is zero
-    low = np.array(blk.low[: len(_alive_prefix(f, p + 1, b))], dtype=int)
+    low = blk.low[: len(_alive_prefix(f, p + 1, b))]
     return P, blk.cols[np.flatnonzero(low >= 0)]
 
 

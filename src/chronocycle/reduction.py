@@ -13,17 +13,23 @@ Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).  As in
 Ripser (Bauer, 2021), the blocks go in ascending dimension; a row simplex
 that the block below made negative is cleared, because its coboundary
 column reduces to zero, and apparent pairs (a simplex whose earliest cofacet
-has it as youngest facet) are read off with array operations.  Only the few
-remaining columns are reduced, as Python-integer bitsets with XOR as column
-addition.
+has it as youngest facet) are read off with array operations.  The
+cofacets of every row come from the block's CSR, which a counting sort
+builds (scipy's CSC to CSR conversion), not a sort.  Only the few remaining
+columns are reduced, as Python-integer bitsets with XOR as column addition;
+each is built by setting its bits in a zeroed byte buffer.  The pairing's
+result is an owner array: the pivot row of each block column, -1 where
+there is none.
 
 Representatives.  The standard left-to-right reduction R = boundary * V over
 F2 then runs on the negative columns only, which gives exactly the full
 reduction's R: that algorithm only ever adds a column that owns a pivot, and
-a positive column's R is zero, so positive columns never enter it.  V is
-kept as a log of column additions and expanded on demand.  A positive
-column's log is computed when its V column is first needed (essential
-classes, ``check_rv``), by the same column reduction.
+a positive column's R is zero, so positive columns never enter it.  The
+owner array is the block's ``low``, the one pivot array: by the duality
+above every R column's pivot equals it, and the reduction raises if one does
+not.  V is kept as a log of column additions and expanded on demand.  A
+positive column's log is computed when its V column is first needed
+(essential classes, ``check_rv``), by the same column reduction.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .complexes import Chain, Filtration
 
@@ -58,9 +65,11 @@ class PersistencePair:
 class _DimReduction:
     """Reduction state for one boundary block (columns = p-simplices).
 
-    ``r``, ``adds`` and ``low`` have one entry per column.  Positive columns
-    (R = 0) start out sharing one empty ``adds`` entry; their addition log is
-    filled in when their V column is first asked for.
+    ``low`` is the cohomology pairing's owner array: read-only, the pivot row
+    of each column, -1 where its reduced column is zero.  ``r`` and ``adds``
+    have one entry per column.  Positive columns (R = 0) start out sharing
+    one empty ``adds`` entry; their addition log is filled in when their V
+    column is first asked for.
     """
 
     __slots__ = (
@@ -69,32 +78,40 @@ class _DimReduction:
     )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
-                 negative: np.ndarray):
+                 low: np.ndarray):
         self.rows = rows  # global ids of (p-1)-simplices, filtration order
         self.cols = cols  # global ids of p-simplices, filtration order
         self.faces = faces  # local row of each face of each column
+        low.flags.writeable = False
+        self.low = low
         n = len(cols)
         self._unreduced: list[int] = []
         self.r: list[int] = [0] * n
         self.adds: list[list[int]] = [self._unreduced] * n
-        self.low: list[int] = [-1] * n
         self.pivot_of_row: dict[int, int] = {}
         self._v_cache: dict[int, int] = {}
-        for j in negative.tolist():
-            col, added = self._reduce_column(j)
-            lw = col.bit_length() - 1
+        negative = np.flatnonzero(low >= 0)
+        for j, lw, face_rows in zip(negative.tolist(), low[negative].tolist(),
+                                    faces[negative].tolist()):
+            col, added = self._reduce_column(j, face_rows)
+            # equal by duality; a difference is a bug in one of the two
+            if col.bit_length() - 1 != lw:
+                raise RuntimeError(
+                    f"column {j} reduces to pivot row {col.bit_length() - 1}, "
+                    f"but the cohomology pairing gives row {lw}"
+                )
             self.r[j] = col
             self.adds[j] = added
-            self.low[j] = lw
             self.pivot_of_row[lw] = j
 
-    def _reduce_column(self, j: int) -> tuple[int, list[int]]:
-        """Left-to-right reduction of boundary column j; returns R_j and the
-        columns added.  For a positive column the pivots met all belong to
-        earlier columns: each pivot row has one owner, and the full
-        reduction met the same owners when it reduced column j to zero."""
+    def _reduce_column(self, j: int, face_rows: list[int]) -> tuple[int, list[int]]:
+        """Left-to-right reduction of boundary column j, whose faces are
+        ``face_rows``; returns R_j and the columns added.  For a positive
+        column the pivots met all belong to earlier columns: each pivot row
+        has one owner, and the full reduction met the same owners when it
+        reduced column j to zero."""
         col = 0
-        for i in self.faces[j].tolist():
+        for i in face_rows:
             col |= 1 << i
         added: list[int] = []
         while col:
@@ -115,7 +132,7 @@ class _DimReduction:
         while stack:
             k = stack[-1]
             if self.adds[k] is self._unreduced:
-                self.adds[k] = self._reduce_column(k)[1]
+                self.adds[k] = self._reduce_column(k, self.faces[k].tolist())[1]
             pending = [a for a in self.adds[k] if a not in self._v_cache]
             if pending:
                 stack.extend(pending)
@@ -140,11 +157,14 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     """
     n_cols, k = faces.shape
     n_rows = len(cleared)
-    flat = faces.ravel()
-    # CSR of the block: cofacets of each row, ascending
-    cofacets = np.argsort(flat, kind="stable") // k
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_rows), out=indptr[1:])
+    # CSR of the block, cofacets of each row ascending: scipy's CSC to CSR
+    # conversion is a counting sort
+    block = sp.csc_matrix(
+        (np.ones(faces.size, dtype=bool), faces.ravel(),
+         np.arange(0, faces.size + 1, k)),
+        shape=(n_rows, n_cols),
+    ).tocsr()
+    cofacets, indptr = block.indices, block.indptr
     live = np.flatnonzero((indptr[1:] > indptr[:-1]) & ~cleared)
     earliest = cofacets[indptr[live]]
     # an apparent pair: the earliest cofacet's youngest facet is the row
@@ -154,13 +174,17 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     owner[earliest[apparent]] = live[apparent]
     owner = owner.tolist()
 
-    # bitset bit 8*nbytes-1-j stands for cofacet j, so the pivot is the top bit
+    # bitset bit 8*nbytes-1-j stands for cofacet j, so the pivot is the top
+    # bit: byte j // 8 of a big-endian buffer, bit 0x80 >> j % 8 in it
     nbytes = (n_cols + 7) // 8
+    byte = cofacets >> 3
+    bit = (0x80 >> (cofacets & 7)).astype(np.uint8)
 
     def column(i):
-        mask = np.zeros(8 * nbytes, dtype=bool)
-        mask[cofacets[indptr[i]:indptr[i + 1]]] = True
-        return int.from_bytes(np.packbits(mask).tobytes(), "big")
+        buf = np.zeros(nbytes, dtype=np.uint8)
+        np.bitwise_or.at(buf, byte[indptr[i]:indptr[i + 1]],
+                         bit[indptr[i]:indptr[i + 1]])
+        return int.from_bytes(buf.tobytes(), "big")
 
     reduced: dict[int, int] = {}
     for i in live[~apparent][::-1].tolist():
@@ -195,13 +219,12 @@ class ReducedDecomposition:
         cleared = np.zeros(f.n_simplices(0), dtype=bool)
         for p in range(1, f.max_dim + 1):
             faces = f.faces(p)
-            owner = _cohomology_pairing(faces, cleared)
-            negative = np.flatnonzero(owner >= 0)
+            low = _cohomology_pairing(faces, cleared)
             self.blocks[p] = _DimReduction(
-                f.dim_indices(p - 1), f.dim_indices(p), faces, negative
+                f.dim_indices(p - 1), f.dim_indices(p), faces, low
             )
             # a negative p-simplex's coboundary column reduces to zero
-            cleared = owner >= 0
+            cleared = low >= 0
 
     # -- chain views --------------------------------------------------------
 
@@ -226,11 +249,6 @@ class ReducedDecomposition:
         blk = self.blocks[p]
         return self._bits_to_chain(blk.v_column(local_j), blk.cols, p)
 
-    def column_zero(self, p: int, local_j: int) -> bool:
-        if p == 0:
-            return True
-        return self.blocks[p].r[local_j] == 0
-
     # -- pairing ------------------------------------------------------------
 
     def pairs(self, dim: int) -> list[PersistencePair]:
@@ -247,30 +265,28 @@ class ReducedDecomposition:
         out: list[PersistencePair] = []
         births = f.dim_indices(dim)
         killer = self.blocks.get(dim + 1)
-        paired_rows = set()
+        essential = np.ones(len(births), dtype=bool)
         if killer is not None:
-            for j, lw in enumerate(killer.low):
-                if lw < 0:
-                    continue
-                paired_rows.add(lw)
-                b_g = int(killer.rows[lw])
-                d_g = int(killer.cols[j])
-                birth, death = f.value(b_g), f.value(d_g)
-                if not birth < death:
-                    continue  # zero-persistence pair
+            js = np.flatnonzero(killer.low >= 0)
+            b_g = killer.rows[killer.low[js]]
+            d_g = killer.cols[js]
+            essential[killer.low[js]] = False
+            keep = f.values[b_g] < f.values[d_g]  # else zero persistence
+            for j, b, d in zip(js[keep].tolist(), b_g[keep].tolist(),
+                               d_g[keep].tolist()):
                 out.append(
                     PersistencePair(
                         dim=dim,
-                        birth=birth,
-                        death=death,
-                        birth_simplex=b_g,
-                        death_simplex=d_g,
+                        birth=f.value(b),
+                        death=f.value(d),
+                        birth_simplex=b,
+                        death_simplex=d,
                         initial_rep=self.r_chain(dim + 1, j),
                     )
                 )
-        for i in range(len(births)):
-            if i in paired_rows or not self.column_zero(dim, i):
-                continue
+        if dim > 0:
+            essential &= self.blocks[dim].low < 0  # R column zero
+        for i in np.flatnonzero(essential).tolist():
             g = int(births[i])
             out.append(
                 PersistencePair(
@@ -289,8 +305,7 @@ class ReducedDecomposition:
 
     def check_reduced(self, p: int) -> bool:
         """Distinct nonzero columns have distinct lowest ones."""
-        blk = self.blocks[p]
-        lows = [lw for lw in blk.low if lw >= 0]
+        lows = [col.bit_length() - 1 for col in self.blocks[p].r if col]
         return len(lows) == len(set(lows))
 
     def check_rv(self, p: int) -> bool:

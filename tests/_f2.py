@@ -271,3 +271,30 @@ def rips_simplices(points, max_dim, radius=None):
         out += grown
         level = grown
     return out
+
+
+def shuffled_levels(items, rng):
+    """``levels=`` input for (vertices, value) pairs: one vertex array and
+    its values per dimension, rows shuffled, dimensions in shuffled order,
+    and each dimension split in two at a random row."""
+    by_width = {}
+    for s, v in items:
+        by_width.setdefault(len(s), []).append((s, v))
+    levels = []
+    for k in rng.permutation(sorted(by_width)).tolist():
+        group = [by_width[k][i] for i in rng.permutation(len(by_width[k]))]
+        cut = int(rng.integers(0, len(group) + 1))
+        for part in (group[:cut], group[cut:]):
+            verts = np.array([s for s, _ in part], dtype=np.int64).reshape(-1, k)
+            levels.append((verts, [v for _, v in part]))
+    return [levels[i] for i in rng.permutation(len(levels))]
+
+
+def assert_same_filtration(f, g):
+    """Same simplices, values, dimensions and face index, bit for bit."""
+    assert f.simplices == g.simplices
+    assert f.values.tobytes() == g.values.tobytes()
+    assert f.dims.tobytes() == g.dims.tobytes()
+    assert f.max_dim == g.max_dim
+    for p in range(1, f.max_dim + 1):
+        assert f.faces(p).tobytes() == g.faces(p).tobytes()

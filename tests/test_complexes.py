@@ -18,7 +18,7 @@ from chronocycle.complexes import (
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.rips import RipsConfig, build_rips
 
-from _f2 import naive_boundary, simplex_index
+from _f2 import assert_same_filtration, naive_boundary, shuffled_levels, simplex_index
 from conftest import bent_cylinder, labeled_complex
 
 
@@ -112,6 +112,32 @@ def test_filtration_validation_errors():
         Filtration([((0,), 0.0), ((0, 10**10), 1.0)])
     with pytest.raises(ValueError, match="missing"):
         Filtration([((0, 1), 1.0)])
+    # vertex ids are integers; a float id is not truncated into one
+    with pytest.raises(ValueError, match="integer"):
+        Filtration([((0,), 0.0), ((1.7,), 0.0), ((0, 1.7), 1.0)])
+    with pytest.raises(ValueError, match="integer"):
+        Filtration(levels=[(np.array([[0.0], [2.9]]), [0, 0])])
+    with pytest.raises(ValueError, match="integer"):
+        Filtration(levels=[(np.array([[0.0], [np.nan]]), [0, 0])])
+    with pytest.raises(ValueError, match="integer"):
+        Filtration([(("a",), 0.0)])
+    # duplicates inside one level, adjacent or not in the input
+    with pytest.raises(ValueError, match="duplicate"):
+        Filtration(levels=[(np.array([[0], [1], [0]]), [0, 0, 0])])
+    with pytest.raises(ValueError, match="duplicate"):
+        Filtration(levels=[(np.array([[0], [1]]), [0, 0]),
+                           (np.array([[0, 1], [0, 1]]), [1, 1])])
+    with pytest.raises(ValueError, match="duplicate"):
+        Filtration(levels=[(np.array([[0], [1]]), [0, 0]),
+                           (np.array([[0, 1]]), [1]), (np.array([[0, 1]]), [2])])
+
+
+def test_filtration_takes_integer_valued_ids_of_any_dtype():
+    f = Filtration(levels=[(np.array([[2.0], [0.0]]), [0, 0]),
+                           (np.array([[0, 2]], dtype=np.uint8), [1.0])])
+    g = Filtration([((0,), 0.0), ((2.0,), 0.0), ((np.int32(0), 2), 1.0)])
+    assert f.simplices == g.simplices == [(0,), (2,), (0, 2)]
+    assert all(type(v) is int for s in f.simplices for v in s)
 
 
 def closed_simplex(top):
@@ -219,18 +245,41 @@ def test_boundary_matrix_is_cached_read_only():
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_filtration_order_matches_sorted_key(n, seed):
-    # a random closed complex with few distinct values, so ties between
-    # dimensions and within a dimension are common; input order shuffled
     rng = np.random.default_rng(seed)
+    items = random_closed_complex(n, rng)
+    order = rng.permutation(len(items))
+    assert_sorted_key_order(Filtration([items[i] for i in order]), items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_levels_match_simplices_input(n, seed):
+    rng = np.random.default_rng(seed)
+    items = random_closed_complex(n, rng)
+    f = Filtration(levels=shuffled_levels(items, rng))
+    assert_sorted_key_order(f, items)
+    order = rng.permutation(len(items))
+    assert_same_filtration(f, Filtration([items[i] for i in order]))
+
+
+def random_closed_complex(n, rng):
+    """(vertices, value) pairs of a random closed complex on n vertices with
+    few distinct values, so ties between dimensions and within a dimension
+    are common."""
     value = {(v,): float(rng.integers(0, 2)) for v in range(n)}
     for k in range(2, n + 1):
         for s in itertools.combinations(range(n), k):
             faces = [s[:i] + s[i + 1:] for i in range(k)]
             if all(fc in value for fc in faces) and rng.random() < 0.7:
                 value[s] = max(value[fc] for fc in faces) + float(rng.integers(0, 2))
-    items = list(value.items())
-    order = rng.permutation(len(items))
-    f = Filtration([items[i] for i in order])
+    return list(value.items())
+
+
+def assert_sorted_key_order(f, items):
+    """f holds items in (value, dim, lex) order, with the right face index."""
     expected = sorted(items, key=lambda t: (t[1], len(t[0]), t[0]))
     assert f.simplices == [s for s, _ in expected]
     assert f.values.tolist() == [v for _, v in expected]

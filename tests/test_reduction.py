@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chronocycle.complexes import Filtration, boundary
 from chronocycle.embedding import LabeledPointCloud
-from chronocycle.reduction import diagram_to_json, full_diagram, reduce
+from chronocycle.reduction import _DimReduction, diagram_to_json, full_diagram, reduce
 from chronocycle.rips import ENCLOSING, RipsConfig, build_rips
 
 from _f2 import betti, full_reduction, homologous, is_cycle, naive_pairs
@@ -247,7 +247,7 @@ def assert_matches_full_reduction(f):
     for p, (r, low, adds) in ref.items():
         blk = dec.blocks[p]
         assert blk.r == r
-        assert blk.low == low
+        assert blk.low.tolist() == low
         assert len(blk.adds) == len(adds)
         # check_rv asks for every V column, positive ones on demand
         assert dec.check_reduced(p)
@@ -291,3 +291,29 @@ def test_positive_columns_share_one_empty_log():
     assert positive
     assert len({id(blk.adds[j]) for j in positive}) == 1
     assert all(blk.adds[j] == [] and blk.r[j] == 0 for j in positive)
+
+
+def test_low_is_the_read_only_pairing():
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    for blk in reduce(f).blocks.values():
+        assert blk.low.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            blk.low[0] = 0
+
+
+@pytest.mark.parametrize("corrupt", ["move", "add", "drop"])
+def test_corrupt_pairing_fails_the_pivot_check(corrupt):
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    blk = reduce(f).blocks[2]
+    low = blk.low.copy()
+    negative = np.flatnonzero(low >= 0)
+    if corrupt == "move":  # a negative column owns the wrong row
+        j = negative[0]
+        low[j] = next(i for i in range(len(blk.rows)) if i not in set(low.tolist()))
+    elif corrupt == "add":  # a positive column owns a row
+        low[np.flatnonzero(low < 0)[0]] = len(blk.rows) - 1
+    else:  # a column that owns a row every later one must reduce by
+        j = next(j for j in negative if any(j in a for a in blk.adds))
+        low[j] = -1
+    with pytest.raises(RuntimeError, match="pivot"):
+        _DimReduction(blk.rows, blk.cols, blk.faces, low)

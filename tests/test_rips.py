@@ -18,7 +18,7 @@ from chronocycle.rips import (
     distance_matrix,
 )
 
-from _f2 import rips_simplices
+from _f2 import assert_same_filtration, rips_simplices, shuffled_levels
 
 SQRT2 = math.sqrt(2.0)
 
@@ -170,6 +170,9 @@ def test_expansion_matches_tuple_reference(n, max_dim, enclosing, seed):
     assert f.values.tobytes() == np.array([v for _, v in expected]).tobytes()
     built = [f.n_simplices(p) for p in range(f.max_dim + 1)]
     assert count_rips_simplices(pts, cfg) == built
+    # the same filtration from its levels with rows and dimensions shuffled
+    items = [(f.simplices[g], f.value(g)) for g in range(len(f))]
+    assert_same_filtration(f, rips.Filtration(levels=shuffled_levels(items, rng)))
 
 
 def test_count_stops_past_the_cap(monkeypatch):

@@ -34,7 +34,7 @@ from .embedding import (
 from .lpsolver import SolverStalled
 from .optimize import RelaxationPolicy, optimize_all
 from .reduction import diagram_to_json, full_diagram, reduce as reduce_filtration
-from .rips import ENCLOSING, RipsConfig, build_rips, count_rips_simplices
+from .rips import ENCLOSING, RipsConfig, build_rips
 from .signals import double_sine, noisy_sine
 from .weights import KINDS
 
@@ -74,14 +74,12 @@ class PipelineConfig:
     tau: Optional[float] = None
     max_dim: int = 1
     max_radius: Union[float, str] = ENCLOSING
-    subsample_ph: int = 1000
+    subsample: int = 1000
     simplex_cap: int = 5_000_000
-    subsample_opt: int = 500
     policy: str = "full"
     kinds: str = "vertex,simplex,length"
     significance: Optional[float] = None
     optimize_dim: int = 1
-    round_tol: float = 1e-6
 
     def validate(self):
         if self.n < 2:
@@ -101,14 +99,12 @@ class PipelineConfig:
         if self.d is not None and self.d < 1:
             raise UsageError("d must be at least 1")
         self.rips_config()
-        if self.subsample_ph < 2 or self.subsample_opt < 2:
-            raise UsageError("subsample sizes must be at least 2")
+        if self.subsample < 2:
+            raise UsageError("subsample must be at least 2")
         if self.simplex_cap < 1:
             raise UsageError("simplex_cap must be positive")
         if self.kind not in ("noisy_sine", "double_sine"):
             raise UsageError(f"unknown synth kind {self.kind!r}")
-        if not self.round_tol > 0:
-            raise UsageError("round_tol must be positive")
         if self.significance is not None and self.significance < 0:
             raise UsageError("significance must be non-negative")
         if not 0 <= self.optimize_dim <= self.max_dim:
@@ -286,30 +282,23 @@ def cmd_embed(cfg: PipelineConfig) -> int:
     return 0
 
 
-def _reduced_subsample(cfg: PipelineConfig, k: int):
-    """Reduced Rips filtration of k evenly spaced embedding points, refused
-    before it is built when it would exceed the simplex cap; also returns
-    the cloud and each cloud vertex's embedding index."""
+def _reduced_subsample(cfg: PipelineConfig):
+    """Reduced Rips filtration of ``cfg.subsample`` evenly spaced embedding
+    points, refused (exit 2) before it grows past the simplex cap; also
+    returns the cloud and each cloud vertex's embedding index."""
     emb = read_json(_path(cfg, "embedding.json"))
     if len(emb["points"]) < 2:
         raise DataError("embedding has fewer than 2 points")
     pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
-    idx = subsample_indices(len(pc), min(k, len(pc)))
+    idx = subsample_indices(len(pc), min(cfg.subsample, len(pc)))
     cloud = LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
-    rips_cfg = cfg.rips_config()
-    total = sum(count_rips_simplices(cloud.points, rips_cfg, cap=cfg.simplex_cap))
-    if total > cfg.simplex_cap:
-        raise DataError(
-            f"simplex budget exceeded: at least {total} simplices > cap {cfg.simplex_cap}"
-            " (lower max_radius, max_dim, or the subsample size)"
-        )
-    filt = build_rips(cloud, rips_cfg)
+    filt = build_rips(cloud, cfg.rips_config(), cap=cfg.simplex_cap)
     return cloud, [int(i) for i in idx], filt, reduce_filtration(filt)
 
 
 def cmd_ph(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _, to_emb, filt, dec = _reduced_subsample(cfg, cfg.subsample_ph)
+    _, to_emb, filt, dec = _reduced_subsample(cfg)
     rows = diagram_to_json(full_diagram(dec, cfg.max_dim), filt)
     for row in rows:
         row["initial_rep"] = [[to_emb[v] for v in s] for s in row["initial_rep"]]
@@ -328,7 +317,7 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if not os.path.exists(_path(cfg, "diagram.json")):
         raise DataError("diagram.json not found: run the ph command first")
-    cloud, to_emb, filt, dec = _reduced_subsample(cfg, cfg.subsample_opt)
+    cloud, to_emb, filt, dec = _reduced_subsample(cfg)
     reps = optimize_all(
         dec.pairs(cfg.optimize_dim),
         cfg.parse_policy(),
@@ -337,7 +326,6 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
         dec,
         cloud.labels,
         significance=cfg.significance,
-        round_tol=cfg.round_tol,
     )
     rows = []
     for rep in reps:
@@ -457,20 +445,19 @@ def make_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--max-dim", dest="max_dim", type=int)
     p.add_argument("--max-radius", dest="max_radius")
-    p.add_argument("--subsample", dest="subsample_ph", type=int)
+    p.add_argument("--subsample", type=int)
     p.add_argument("--simplex-cap", dest="simplex_cap", type=int)
 
     p = subs.add_parser("optimize", help="time-optimal cycle representatives")
     _add_common(p)
     p.add_argument("--max-dim", dest="max_dim", type=int)
     p.add_argument("--max-radius", dest="max_radius")
-    p.add_argument("--subsample", dest="subsample_opt", type=int)
+    p.add_argument("--subsample", type=int)
     p.add_argument("--simplex-cap", dest="simplex_cap", type=int)
     p.add_argument("--policy", help="full | fraction:RHO | absolute:EPS")
     p.add_argument("--kinds", help="comma list: vertex,simplex,length")
     p.add_argument("--significance", type=float)
     p.add_argument("--dim", dest="optimize_dim", type=int)
-    p.add_argument("--round-tol", dest="round_tol", type=float)
 
     p = subs.add_parser("export", help="flatten outputs to CSV plot tables")
     _add_common(p)

@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 
 @dataclass
@@ -98,6 +97,19 @@ class LabeledPointCloud:
         return len(self.points)
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the interior local maxima of x, by the rule of
+    ``scipy.signal.find_peaks``: a run of equal values higher than both
+    neighboring runs is one peak, at its middle sample (rounded down), and
+    a run holding the first or last sample is never a peak."""
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(x)) + 1])
+    ends = np.append(starts[1:], len(x)) - 1
+    top = x[starts]
+    peak = np.zeros(len(starts), dtype=bool)
+    peak[1:-1] = (top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])
+    return (starts[peak] + ends[peak]) // 2
+
+
 def spectrum(ts: TimeSeries, threshold_fraction: float = 0.1) -> SpectrumSupport:
     """Spectral peaks of the mean-removed signal.
 
@@ -116,7 +128,7 @@ def spectrum(ts: TimeSeries, threshold_fraction: float = 0.1) -> SpectrumSupport
         raise ValueError("empty spectrum")
     omega = 2 * np.pi * np.fft.rfftfreq(ts.n, ts.dt)
     thr = threshold_fraction * mag.max()
-    idx, _ = find_peaks(mag)
+    idx = _local_maxima(mag)
     idx = idx[mag[idx] >= thr]
     if len(idx) == 0:
         raise ValueError("empty spectrum")

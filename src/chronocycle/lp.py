@@ -49,7 +49,7 @@ class CycleSolution:
     c: np.ndarray
     w: np.ndarray
     objective: float
-    support: list[int]     # global indices of simplices with |c_j| > round_tol
+    support: list[int]     # global indices of simplices with |c_j| > ROUND_TOL
     support_coefficients: list[float]
     residual: float
     iterations: int
@@ -130,11 +130,7 @@ def _standard_form(lp: CycleLP):
     return A_std, cost_std
 
 
-def solve(
-    lp: CycleLP,
-    round_tol: float = ROUND_TOL,
-    pivot_cap: int = 10**6,
-) -> CycleSolution:
+def solve(lp: CycleLP) -> CycleSolution:
     """Solve to an optimal vertex, picked among tied optima by the tie rule,
     and extract the rounded support.
 
@@ -148,13 +144,11 @@ def solve(
     """
     m, q = lp.A.shape
     A_std, cost_std = _standard_form(lp)
-    first = revised_simplex(cost_std, A_std, lp.c0, pivot_cap=pivot_cap)
+    first = revised_simplex(cost_std, A_std, lp.c0)
     face = first.reduced <= TIE_TOL * (1 + float(np.max(cost_std, initial=0)))
     rank = np.arange(1, m + 1, dtype=float)
     tie_cost = np.concatenate([rank, rank, np.zeros(2 * q)])
-    second = revised_simplex(
-        tie_cost[face], A_std[:, face], lp.c0, pivot_cap=pivot_cap
-    )
+    second = revised_simplex(tie_cost[face], A_std[:, face], lp.c0)
     x = np.zeros(len(cost_std))
     x[face] = second.x
 
@@ -167,7 +161,7 @@ def solve(
     )
     if residual > RESIDUAL_TOL * (1 + float(np.max(np.abs(lp.c0), initial=0))):
         raise SolverStalled(f"solution residual {residual:.3e} out of tolerance")
-    local = np.flatnonzero(np.abs(c) > round_tol)
+    local = np.flatnonzero(np.abs(c) > ROUND_TOL)
     objective = float(np.dot(lp.cost, np.abs(c)))
     return CycleSolution(
         c=c,

@@ -97,7 +97,6 @@ def optimize_class(
     f: Filtration,
     dec: ReducedDecomposition,
     labels,
-    round_tol: float = ROUND_TOL,
 ) -> OptimizedRepresentative:
     """Optimize one class: restrict at the relaxed birth, weight, solve."""
     p = pair.dim
@@ -108,12 +107,12 @@ def optimize_class(
     W = weights_for(kind, [f.simplices[g] for g in P], labels)
     bd = boundary_matrix(f, p, REAL)
     lp = build_lp(P, Qhat, pair.initial_rep, W, bd, f)
-    sol = solve(lp, round_tol=round_tol)
+    sol = solve(lp)
 
     ints = np.rint(sol.c)
     rounded = None
     is_cycle = False
-    if np.max(np.abs(sol.c - ints), initial=0.0) <= round_tol:
+    if np.max(np.abs(sol.c - ints), initial=0.0) <= ROUND_TOL:
         entries = {int(lp.P[j]): 1 for j in np.flatnonzero(ints.astype(int) % 2)}
         cand = Chain(p, entries)
         if p == 0 or not cand or not boundary(cand, f, F2):
@@ -157,14 +156,11 @@ def optimize_all(
     dec: ReducedDecomposition,
     labels,
     significance: Optional[float] = None,
-    round_tol: float = ROUND_TOL,
 ) -> list[OptimizedRepresentative]:
     """One result per significant pair and requested kind, ordered by
     (persistence desc, kind order)."""
     out = []
     for pr in significant_pairs(pairs, significance):
         for kind in kinds:
-            out.append(
-                optimize_class(pr, policy, kind, f, dec, labels, round_tol=round_tol)
-            )
+            out.append(optimize_class(pr, policy, kind, f, dec, labels))
     return out

@@ -13,10 +13,10 @@ the simplex's last one, are ANDed, and ``np.nonzero`` lists the new
 simplices, again in lexicographic order.  A new simplex's value is the
 larger of its parent's value and its distances to the new vertex.
 
-``count_rips_simplices`` builds every level but the top one, whose size is
-the popcount of the same masks.  With a ``cap`` it stops as soon as the
-running total passes the cap, so a size guard refuses oversized work before
-doing it.
+Popcounting the same masks sizes the next level before it is built: with
+a ``cap``, ``build_rips`` counts each level first and raises instead of
+expanding one that would take the total past the cap.
+``count_rips_simplices`` gives exact counts and never builds the top level.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _cofaces(simp: np.ndarray, up: np.ndarray):
         yield start, mask
 
 
-def _count(simp: np.ndarray, up: np.ndarray, limit: float) -> int:
+def _count(simp: np.ndarray, up: np.ndarray, limit: float = math.inf) -> int:
     """Number of (k+1)-simplices over ``simp``; stops early once past limit."""
     total = 0
     for _, mask in _cofaces(simp, up):
@@ -104,13 +104,26 @@ def _expand(simp: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([simp[rows], verts]), rows
 
 
-def _rips_levels(points, cfg: RipsConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(simplices, values) of each non-empty dimension, vertices first."""
+def _check_budget(total: int, cap: Optional[int]):
+    if cap is not None and total > cap:
+        raise ValueError(
+            f"simplex budget exceeded: at least {total} simplices > cap {cap}")
+
+
+def _rips_levels(points, cfg: RipsConfig,
+                 cap: Optional[int] = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(simplices, values) of each non-empty dimension, vertices first; with
+    a cap, each is counted before it is built (a refused total is partial)."""
+    _check_budget(len(points), cap)
     dist, up = _graph(points, cfg)
     n = len(dist)
     simp, vals = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
     levels = [(simp, vals)]
+    total = n
     for _ in range(cfg.max_dim + 1):
+        if cap is not None:
+            total += _count(simp, up, cap - total)
+            _check_budget(total, cap)
         simp, parent = _expand(simp, up)
         if len(simp) == 0:
             break
@@ -120,34 +133,26 @@ def _rips_levels(points, cfg: RipsConfig) -> list[tuple[np.ndarray, np.ndarray]]
     return levels
 
 
-def count_rips_simplices(points, cfg: RipsConfig,
-                         cap: Optional[int] = None) -> list[int]:
-    """Per-dimension simplex counts of build_rips; the top dimension is
-    counted and never built.
-
-    With a cap, counting stops as soon as the running total passes it: the
-    counts then end at the dimension that passed, that count is partial,
-    and their sum exceeds the cap.  Without one they are exact.
-    """
+def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
+    """Exact per-dimension simplex counts of build_rips; the top dimension
+    is counted and never built."""
     _, up = _graph(points, cfg)
-    limit = math.inf if cap is None else cap
     simp = np.arange(len(up), dtype=np.int64)[:, None]
     counts = [len(simp)]
     for k in range(cfg.max_dim + 1):  # count the (k+1)-simplices
-        if sum(counts) > limit:
-            break
         if k:  # build the k-simplices just counted, to count the next level
             simp = _expand(simp, up)[0]
-        m = _count(simp, up, limit - sum(counts))
+        m = _count(simp, up)
         if m == 0:
             break
         counts.append(m)
     return counts
 
 
-def build_rips(pc, cfg: RipsConfig) -> Filtration:
-    """Rips filtration of the cloud; vertices at 0, simplex value = diameter."""
+def build_rips(pc, cfg: RipsConfig, cap: Optional[int] = None) -> Filtration:
+    """Rips filtration of the cloud; vertices at 0, simplex value = diameter.
+    With a cap, raises ``ValueError`` instead of building more simplices."""
     if len(pc.points) == 1:
         raise ValueError("need at least 2 points")
     # expanded here, so the work is the Rips builder's and not Filtration's
-    return Filtration(levels=_rips_levels(pc.points, cfg))
+    return Filtration(levels=_rips_levels(pc.points, cfg, cap))

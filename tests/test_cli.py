@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 import chronocycle.cli as cli
 import chronocycle.lpsolver as lpsolver
+import chronocycle.rips as rips
 from chronocycle.cli import main
 from chronocycle.lpsolver import SolverStalled
 
@@ -78,12 +80,15 @@ def test_ph_over_simplex_cap_is_refused_before_building(tmp_path, capsys,
                 "--n", "64", "--seed", "5"]) == 0
     assert run(["embed", "--out-dir", out, "--tau-count", "20"]) == 0
     capsys.readouterr()
+    # the vertices fit under the cap, the edges would not
+    cap = len(read(os.path.join(out, "embedding.json"))["points"]) + 1
 
-    def build_rips(*args):
-        raise AssertionError("Rips built past the simplex cap")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Rips expanded past the simplex cap")
 
-    monkeypatch.setattr(cli, "build_rips", build_rips)
-    assert run(["ph", "--out-dir", out, "--simplex-cap", "10"]) == 2
+    monkeypatch.setattr(rips, "_expand", forbidden)
+    monkeypatch.setattr(rips, "Filtration", forbidden)
+    assert run(["ph", "--out-dir", out, "--simplex-cap", str(cap)]) == 2
     assert "simplex budget exceeded" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "diagram.json"))
 
@@ -270,6 +275,63 @@ def test_backend_option_is_gone(pipeline_dir, tmp_path):
     conf = tmp_path / "old.conf"
     conf.write_text("backend = builtin\n")
     assert main(["synth", "--config", str(conf)]) == 1
+
+
+def test_one_distance_matrix_and_expansion_per_level(pipeline_dir, tmp_path,
+                                                     monkeypatch):
+    out = str(tmp_path)
+    shutil.copy(os.path.join(pipeline_dir, "embedding.json"), out)
+    calls = []
+
+    def logged(name):
+        real = getattr(rips, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_graph", "_expand"):
+        monkeypatch.setattr(rips, name, logged(name))
+    for command in (["ph"], ["optimize", "--kinds", "vertex"]):
+        calls.clear()
+        assert main([*command, "--out-dir", out, "--subsample", "30",
+                     "--max-dim", "1"]) == 0
+        # the edges and the triangles are each expanded once
+        assert calls == ["_graph", "_expand", "_expand"]
+
+
+def test_config_subsample_reaches_ph_and_optimize(pipeline_dir, tmp_path):
+    out = str(tmp_path)
+    shutil.copy(os.path.join(pipeline_dir, "embedding.json"), out)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"out_dir = {out}\nsubsample = 30\nkinds = vertex\n")
+    assert main(["ph", "--config", str(conf)]) == 0
+    assert main(["optimize", "--config", str(conf)]) == 0
+    dia = read(os.path.join(out, "diagram.json"))
+    reps = read(os.path.join(out, "representatives.json"))
+    assert len(dia["subsample_indices"]) == 30
+    assert reps["subsample_indices"] == dia["subsample_indices"]
+    rows = {(r["dim"], r["birth_simplex"], r["death_simplex"])
+            for r in dia["pairs"]}
+    assert reps["classes"]
+    for row in reps["classes"]:
+        pr = row["pair"]
+        assert (pr["dim"], pr["birth_simplex"], pr["death_simplex"]) in rows
+
+
+def test_removed_options_are_gone(pipeline_dir, tmp_path):
+    code = main(["optimize", "--out-dir", pipeline_dir, "--round-tol", "1e-6"])
+    assert code == 1
+    conf = tmp_path / "old.conf"
+    for line in ("round_tol = 1e-6", "subsample_ph = 50", "subsample_opt = 40"):
+        conf.write_text(line + "\n")
+        assert main(["synth", "--config", str(conf)]) == 1
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chronocycle.cli; sys.exit('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_entry_point_subprocess(tmp_path):

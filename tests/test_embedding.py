@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chronocycle.embedding import (
+    _local_maxima,
     EmbeddingParams,
     LabeledPointCloud,
     TimeSeries,
@@ -64,6 +65,20 @@ def test_spectrum_threshold_prunes_weak_tone():
     s = spectrum(double_sine(), threshold_fraction=1.0)
     assert len(s.peaks) == 1
     assert s.frequencies[0] == pytest.approx(1.0, abs=0.05)
+
+
+def test_local_maxima_match_find_peaks():
+    # small integer levels give ties and plateaus, including ones that touch
+    # either end; the rfft magnitude has at least 3 samples
+    from scipy.signal import find_peaks
+
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(3, 40))
+        x = rng.integers(0, int(rng.integers(2, 6)), size=n).astype(float)
+        assert _local_maxima(x).tolist() == find_peaks(x)[0].tolist(), x
+    assert _local_maxima(np.array([0.0, 2, 2, 2, 2, 1])).tolist() == [2]
+    assert _local_maxima(np.array([3.0, 3, 1, 2, 2])).tolist() == []
 
 
 def test_spectrum_errors():

@@ -175,29 +175,50 @@ def test_expansion_matches_tuple_reference(n, max_dim, enclosing, seed):
     assert_same_filtration(f, rips.Filtration(levels=shuffled_levels(items, rng)))
 
 
+def _record(monkeypatch, name):
+    """Patch rips.<name> to log the row width of its first argument (1 for
+    the vertex level, 2 for edges ...) before running it."""
+    calls = []
+    real = getattr(rips, name)
+
+    def logged(simp, *args):
+        calls.append(np.shape(simp)[1])
+        return real(simp, *args)
+
+    monkeypatch.setattr(rips, name, logged)
+    return calls
+
+
 def test_count_stops_past_the_cap(monkeypatch):
     # 936 points at the enclosing radius: 437,580 edges and about 1.4e8
     # triangles; the cap is passed while counting triangles, which are
     # never built
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((936, 4))
-    grown = []
-    expand = rips._expand
-    monkeypatch.setattr(
-        rips, "_expand", lambda simp, up: grown.append(simp.shape[1]) or expand(simp, up)
-    )
-    counts = count_rips_simplices(pts, RipsConfig(max_dim=2), cap=5_000_000)
-    assert counts[:2] == [936, math.comb(936, 2)]
-    assert len(counts) == 3
-    assert 5_000_000 < sum(counts) < math.comb(936, 3)
+    grown = _record(monkeypatch, "_expand")
+    monkeypatch.setattr(rips, "Filtration", None)  # a build would raise TypeError
+    with pytest.raises(ValueError, match="simplex budget exceeded") as err:
+        build_rips(cloud(pts), RipsConfig(max_dim=2), cap=5_000_000)
+    total = int(str(err.value).split("at least ")[1].split()[0])
+    assert 5_000_000 < total < 936 + math.comb(936, 2) + math.comb(936, 3)
     assert grown == [1]  # only the edges were built
 
 
-def test_count_cap_bounds():
+def test_count_cap_bounds(monkeypatch):
     pts = np.random.default_rng(5).standard_normal((10, 2))
     cfg = RipsConfig(max_dim=1)
     full = count_rips_simplices(pts, cfg)
     assert full == [10, 45, 120]
-    assert count_rips_simplices(pts, cfg, cap=sum(full)) == full
-    assert count_rips_simplices(pts, cfg, cap=9) == [10]
-    assert sum(count_rips_simplices(pts, cfg, cap=60)) > 60
+    f = build_rips(cloud(pts), cfg, cap=sum(full))
+    assert [f.n_simplices(p) for p in range(3)] == full
+    assert_same_filtration(f, build_rips(cloud(pts), cfg))
+
+    grown = _record(monkeypatch, "_expand")
+    with pytest.raises(ValueError, match="at least 175 simplices > cap 174"):
+        build_rips(cloud(pts), cfg, cap=sum(full) - 1)
+    assert grown == [1]  # the triangles were counted, not built
+    grown.clear()
+    graphs = _record(monkeypatch, "_graph")
+    with pytest.raises(ValueError, match="at least 10 simplices > cap 9"):
+        build_rips(cloud(pts), cfg, cap=9)
+    assert grown == [] and graphs == []  # refused before the distance matrix

@@ -61,7 +61,6 @@ from .weights import (
     VERTEX,
     WeightMatrix,
     length_weights,
-    simplex_time_label,
     simplex_weights,
     support_dispersion,
     vertex_weights,

@@ -420,6 +420,13 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, help="random seed")
 
 
+def _add_rips(sub: argparse.ArgumentParser):
+    sub.add_argument("--max-dim", dest="max_dim", type=int)
+    sub.add_argument("--max-radius", dest="max_radius")
+    sub.add_argument("--subsample", type=int)
+    sub.add_argument("--simplex-cap", dest="simplex_cap", type=int)
+
+
 def make_parser() -> _Parser:
     parser = _Parser(prog="chronocycle", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -443,17 +450,11 @@ def make_parser() -> _Parser:
 
     p = subs.add_parser("ph", help="Rips persistence of the embedding")
     _add_common(p)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
-    p.add_argument("--max-radius", dest="max_radius")
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--simplex-cap", dest="simplex_cap", type=int)
+    _add_rips(p)
 
     p = subs.add_parser("optimize", help="time-optimal cycle representatives")
     _add_common(p)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
-    p.add_argument("--max-radius", dest="max_radius")
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--simplex-cap", dest="simplex_cap", type=int)
+    _add_rips(p)
     p.add_argument("--policy", help="full | fraction:RHO | absolute:EPS")
     p.add_argument("--kinds", help="comma list: vertex,simplex,length")
     p.add_argument("--significance", type=float)

@@ -41,7 +41,7 @@ class CycleLP:
     A: sp.csc_matrix       # signed boundary, rows over P, columns over Qhat
     c0: np.ndarray         # +1 lift of the initial representative over P
     W: WeightMatrix
-    cost: np.ndarray       # effective per-variable cost (column maxima of W)
+    cost: np.ndarray       # per-variable cost, W's diagonal
 
 
 @dataclass
@@ -85,23 +85,18 @@ def build_lp(
     c0: Chain,
     W: WeightMatrix,
     bd: BoundaryMatrix,
-    f: Filtration = None,
+    f: Filtration,
 ) -> CycleLP:
     """Assemble the signed constraint system c - A w = c0 over P."""
     P = np.asarray(P, dtype=int)
     Qhat = np.asarray(Qhat, dtype=int)
     p = c0.dim
-    if f is None and p >= 1:
-        raise ValueError("filtration required to orient the initial cycle")
-    if f is not None and p >= 1:
-        if boundary(c0, f, F2):
-            raise ValueError("initial chain is not a cycle")
+    if p >= 1 and boundary(c0, f, F2):
+        raise ValueError("initial chain is not a cycle")
     pos_in_P = {int(g): i for i, g in enumerate(P)}
     if any(i not in pos_in_P for i in c0.entries):
         raise ValueError("initial cycle not supported inside P")
-    lifted = (
-        orient_chain(c0, f) if p >= 1 else Chain(0, {g: 1.0 for g in c0.entries})
-    )
+    lifted = orient_chain(c0, f)
 
     row_sel = np.searchsorted(bd.rows, P)
     col_sel = np.searchsorted(bd.cols, Qhat)

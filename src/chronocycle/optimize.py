@@ -1,16 +1,17 @@
 """Per-class orchestration of the cycle optimization.
 
 For each persistence class the relaxation policy picks the admissible birth
-b' (the class birth, or death - epsilon), the restricted simplex sets and the
-weight matrix are assembled there, and the LP is solved.  Solutions are
-rounded back to F2 and verified to still be cycles; a failed rounding falls
-back to reporting the fractional support, flagged.
+b' (the class birth, or death - epsilon).  The class's LP, over the
+simplices alive at b', is built once; the kinds differ only in its cost
+vector, so each kind swaps the cost in and solves.  Solutions are rounded
+back to F2 and verified to still be cycles; a failed rounding falls back to
+reporting the fractional support, flagged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -90,6 +91,45 @@ class OptimizedRepresentative:
     rounded_is_cycle: bool
 
 
+def _optimize_pair(
+    pair: PersistencePair,
+    policy: RelaxationPolicy,
+    kinds,
+    f: Filtration,
+    dec: ReducedDecomposition,
+    labels,
+) -> list[OptimizedRepresentative]:
+    """Build the class's LP at the relaxed birth once, then solve it under
+    each kind's cost."""
+    p = pair.dim
+    b_relaxed = policy.relaxed_birth(pair, f)
+    if b_relaxed < pair.birth - 1e-9 * (1 + abs(pair.birth)):
+        raise ValueError("initial representative not alive at relaxed birth")
+    P, Qhat = restrict_sets(f, dec, p, b_relaxed)
+    verts = np.array([f.simplices[g] for g in P])
+    weights = [weights_for(kind, verts, labels) for kind in kinds]
+    bd = boundary_matrix(f, p, REAL)
+    lp = build_lp(P, Qhat, pair.initial_rep, weights[0], bd, f)
+    out = []
+    for kind, W in zip(kinds, weights):
+        sol = solve(replace(lp, W=W, cost=W.column_costs))
+        ints = np.rint(sol.c)
+        rounded = None
+        if np.max(np.abs(sol.c - ints), initial=0.0) <= ROUND_TOL:
+            entries = {int(lp.P[j]): 1 for j in np.flatnonzero(ints.astype(int) % 2)}
+            cand = Chain(p, entries)
+            if p == 0 or not cand or not boundary(cand, f, F2):
+                rounded = cand
+        support = [f.simplices[g] for g in sol.support]
+        dispersion = support_dispersion(support, labels) if support else 0.0
+        out.append(OptimizedRepresentative(
+            pair=pair, policy=policy, loss_kind=kind, solution=sol,
+            dispersion=dispersion, relaxed_birth=b_relaxed, rounded=rounded,
+            rounded_is_cycle=rounded is not None,
+        ))
+    return out
+
+
 def optimize_class(
     pair: PersistencePair,
     policy: RelaxationPolicy,
@@ -99,36 +139,7 @@ def optimize_class(
     labels,
 ) -> OptimizedRepresentative:
     """Optimize one class: restrict at the relaxed birth, weight, solve."""
-    p = pair.dim
-    b_relaxed = policy.relaxed_birth(pair, f)
-    if b_relaxed < pair.birth - 1e-9 * (1 + abs(pair.birth)):
-        raise ValueError("initial representative not alive at relaxed birth")
-    P, Qhat = restrict_sets(f, dec, p, b_relaxed)
-    W = weights_for(kind, [f.simplices[g] for g in P], labels)
-    bd = boundary_matrix(f, p, REAL)
-    lp = build_lp(P, Qhat, pair.initial_rep, W, bd, f)
-    sol = solve(lp)
-
-    ints = np.rint(sol.c)
-    rounded = None
-    is_cycle = False
-    if np.max(np.abs(sol.c - ints), initial=0.0) <= ROUND_TOL:
-        entries = {int(lp.P[j]): 1 for j in np.flatnonzero(ints.astype(int) % 2)}
-        cand = Chain(p, entries)
-        if p == 0 or not cand or not boundary(cand, f, F2):
-            rounded, is_cycle = cand, True
-    support_simplices = [f.simplices[g] for g in sol.support]
-    dispersion = support_dispersion(support_simplices, labels) if support_simplices else 0.0
-    return OptimizedRepresentative(
-        pair=pair,
-        policy=policy,
-        loss_kind=kind,
-        solution=sol,
-        dispersion=dispersion,
-        relaxed_birth=b_relaxed,
-        rounded=rounded,
-        rounded_is_cycle=is_cycle,
-    )
+    return _optimize_pair(pair, policy, [kind], f, dec, labels)[0]
 
 
 def significance_threshold(pairs, bound: Optional[float] = None) -> float:
@@ -159,8 +170,10 @@ def optimize_all(
 ) -> list[OptimizedRepresentative]:
     """One result per significant pair and requested kind, ordered by
     (persistence desc, kind order)."""
-    out = []
-    for pr in significant_pairs(pairs, significance):
-        for kind in kinds:
-            out.append(optimize_class(pr, policy, kind, f, dec, labels))
-    return out
+    if not kinds:
+        return []
+    return [
+        rep
+        for pr in significant_pairs(pairs, significance)
+        for rep in _optimize_pair(pr, policy, kinds, f, dec, labels)
+    ]

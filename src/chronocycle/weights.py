@@ -1,26 +1,27 @@
-"""Time-aware weight matrices for cycle optimization.
+"""Time-aware simplex costs for cycle optimization.
 
-Three loss kinds over a restricted p-simplex set P:
+Each kind is one non-negative LP cost per simplex of a restricted p-simplex
+set P, computed from the (m, p+1) vertex array of P and the vertex time
+labels:
 
-* vertex:  diagonal, entry = spread (max - min) of the simplex's own vertex
-  labels;
-* simplex: symmetric off-diagonal, entry = |mean label difference| between
-  adjacent simplices (sharing a p-element vertex subset), zero diagonal;
-* length:  identity, the plain sparsity baseline.
+* vertex:  the spread (max - min) of the simplex's own vertex labels;
+* simplex: the largest gap between the simplex's mean label and the mean
+  label of a simplex sharing a facet (a p-element vertex subset) with it,
+  zero when no other simplex of P shares one;
+* length:  one, the plain sparsity baseline.
 
-The effective per-variable LP cost of simplex j is the largest entry in
-column j. For the diagonal kinds that is just the diagonal entry; for the
-adjacency kind it charges each simplex its worst time gap to a neighbor,
-so a cycle pays the sum over its edges of the largest adjacent-label
-difference. Summing whole columns instead would bill every simplex for all
-of its neighbors at once and drag the optimum toward sparsely connected
-corners of the complex rather than time-coherent ones.
+A cycle then pays, under ``simplex``, the sum over its simplices of each
+one's worst time gap to a neighbor.  Summing every neighbor's gap instead
+would drag the optimum toward sparsely connected corners of the complex
+rather than time-coherent ones.
+
+``WeightMatrix.entries`` is the diagonal of the costs, the weighting the LP
+applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,61 +43,51 @@ class WeightMatrix:
             raise ValueError("weight entries must be non-negative")
 
 
-def simplex_time_label(s, labels) -> float:
-    """Mean time label of the simplex's vertices."""
-    return float(sum(float(labels[i]) for i in s) / len(s))
+def _diagonal(kind: str, costs: np.ndarray) -> WeightMatrix:
+    return WeightMatrix(kind=kind, entries=sp.diags(costs, format="csr"),
+                        column_costs=costs)
 
 
 def vertex_weights(P, labels) -> WeightMatrix:
-    """Diagonal weights: own-vertex label spread per simplex."""
-    diag = np.array(
-        [
-            max(float(labels[v]) for v in s) - min(float(labels[v]) for v in s)
-            for s in P
-        ]
-    )
-    m = sp.diags(diag, format="csr")
-    return WeightMatrix(kind=VERTEX, entries=m, column_costs=diag.copy())
+    """Own-vertex label spread per simplex."""
+    L = np.asarray(labels, dtype=float)[np.asarray(P, dtype=np.int64)]
+    return _diagonal(VERTEX, L.max(axis=1) - L.min(axis=1))
 
 
 def simplex_weights(P, labels) -> WeightMatrix:
-    """Symmetric adjacency weights: |T(s_i) - T(s_j)| for adjacent pairs.
+    """Largest mean-label gap to a simplex sharing a facet, per simplex.
 
-    Adjacency is found by grouping simplices over their p-element vertex
-    subsets; two distinct simplices sharing such a subset intersect in
-    exactly p vertices.
+    One ``np.unique`` groups the p+1 facets of every simplex; the lowest
+    and highest mean label over a facet's simplices bound every gap
+    through that facet.
     """
-    simps = list(P)
-    n = len(simps)
-    means = np.array([simplex_time_label(s, labels) for s in simps])
-    facet_groups: dict[tuple, list[int]] = {}
-    for j, s in enumerate(simps):
-        for k in range(len(s)):
-            facet_groups.setdefault(s[:k] + s[k + 1 :], []).append(j)
-    ri, ci, data = [], [], []
-    for group in facet_groups.values():
-        for a, b in combinations(group, 2):
-            w = abs(means[a] - means[b])
-            ri.extend((a, b))
-            ci.extend((b, a))
-            data.extend((w, w))
-    m = sp.csr_matrix(
-        (np.array(data), (np.array(ri, int), np.array(ci, int))), shape=(n, n)
-    )
-    costs = np.zeros(n)
-    coo = m.tocoo()
-    np.maximum.at(costs, coo.col, coo.data)
-    return WeightMatrix(kind=SIMPLEX, entries=m, column_costs=costs)
+    verts = np.asarray(P, dtype=np.int64)
+    L = np.asarray(labels, dtype=float)[verts]
+    m, k = L.shape
+    # column by column, so each mean is the left-to-right sum of its labels
+    means = L[:, 0].copy()
+    for i in range(1, k):
+        means += L[:, i]
+    means /= k
+    facets = np.concatenate([np.delete(verts, i, axis=1) for i in range(k)])
+    uniq, inv = np.unique(facets, axis=0, return_inverse=True)
+    inv = inv.reshape(k, m)  # row i: the facet dropping vertex position i
+    lo = np.full(len(uniq), np.inf)
+    hi = np.full(len(uniq), -np.inf)
+    np.minimum.at(lo, inv.ravel(), np.tile(means, k))
+    np.maximum.at(hi, inv.ravel(), np.tile(means, k))
+    gaps = np.maximum(means - lo[inv], hi[inv] - means)
+    return _diagonal(SIMPLEX, gaps.max(axis=0))
 
 
 def length_weights(P) -> WeightMatrix:
-    """Identity weights: objective counts support simplices."""
-    n = len(list(P))
-    m = sp.identity(n, format="csr")
-    return WeightMatrix(kind=LENGTH, entries=m, column_costs=np.ones(n))
+    """Unit cost per simplex: the objective counts support simplices."""
+    return _diagonal(LENGTH, np.ones(len(P)))
 
 
 def weights_for(kind: str, P, labels) -> WeightMatrix:
+    """The ``kind`` costs of P, an (m, p+1) vertex array or a sequence of
+    m vertex tuples of one dimension."""
     if kind == VERTEX:
         return vertex_weights(P, labels)
     if kind == SIMPLEX:

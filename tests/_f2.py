@@ -5,8 +5,10 @@ code paths with the library.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import pdist, squareform
 
 
@@ -64,6 +66,43 @@ def solve2(A, b):
     for i, c in enumerate(pivots):
         x[c] = aug[i, -1]
     return x
+
+
+def vertex_costs(P, labels):
+    """Label spread of each vertex tuple of P, one simplex at a time."""
+    return np.array(
+        [
+            max(float(labels[v]) for v in s) - min(float(labels[v]) for v in s)
+            for s in P
+        ]
+    )
+
+
+def simplex_costs(P, labels):
+    """Column maxima of the all-pairs matrix of |mean label difference|
+    between simplices of P that share a facet, the facets found by slicing
+    tuples into a {facet: [simplex]} dict."""
+    simps = list(P)
+    n = len(simps)
+    means = np.array([sum(float(labels[i]) for i in s) / len(s) for s in simps])
+    facet_groups = {}
+    for j, s in enumerate(simps):
+        for k in range(len(s)):
+            facet_groups.setdefault(s[:k] + s[k + 1 :], []).append(j)
+    ri, ci, data = [], [], []
+    for group in facet_groups.values():
+        for a, b in combinations(group, 2):
+            w = abs(means[a] - means[b])
+            ri.extend((a, b))
+            ci.extend((b, a))
+            data.extend((w, w))
+    m = sp.csr_matrix(
+        (np.array(data), (np.array(ri, int), np.array(ci, int))), shape=(n, n)
+    )
+    costs = np.zeros(n)
+    coo = m.tocoo()
+    np.maximum.at(costs, coo.col, coo.data)
+    return costs
 
 
 def simplex_index(f):

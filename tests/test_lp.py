@@ -193,16 +193,6 @@ def test_build_lp_rejects_open_closure():
         build_lp(P, f.dim_indices(2), c0, W, bd, f)
 
 
-def test_build_lp_needs_filtration_for_cycles():
-    f = pentagon_with_chord()
-    c0 = chain_over(f, [(0, 1), (1, 2), (0, 2)])
-    P = f.dim_indices(1)
-    W = length_weights([f.simplices[g] for g in P])
-    bd = boundary_matrix(f, 1, REAL)
-    with pytest.raises(ValueError, match="filtration required"):
-        build_lp(P, np.array([], dtype=int), c0, W, bd)
-
-
 def test_oracle_rejects_large_enumeration():
     with pytest.raises(ValueError, match="too many"):
         oracle_optimal(

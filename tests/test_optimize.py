@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import chronocycle as cc
+from chronocycle import lp as lp_module
+from chronocycle import optimize as optimize_module
 from chronocycle.complexes import Chain
 from chronocycle.optimize import (
     OptimizedRepresentative,
@@ -179,3 +182,75 @@ def test_optimize_all_fraction_policy_rejects_essential(labeled):
             dec.pairs(1), RelaxationPolicy.fraction(0.5), ["length"],
             f, dec, labels,
         )
+
+
+def _sine_cloud():
+    series = cc.noisy_sine(n=200, sigma=0.1, seed=0)
+    sup = cc.spectrum(series)
+    d = cc.embedding_dimension(sup)
+    tau = cc.optimal_delay(sup, d, cc.default_tau_grid(sup))
+    return cc.subsample(
+        cc.sliding_window(series, cc.EmbeddingParams(d=d, tau=tau)), 40
+    )
+
+
+def test_optimize_all_builds_each_class_once(monkeypatch):
+    pc = _sine_cloud()
+    f = cc.build_rips(pc, cc.RipsConfig(max_dim=1, max_radius=1.6))
+    dec = reduce(f)
+    pairs = [pr for pr in dec.pairs(1) if not pr.essential]
+    policy = RelaxationPolicy.fraction(0.7)
+    calls = {"restrict_sets": 0, "build_lp": 0, "orient_chain": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(optimize_module, "restrict_sets")
+    counted(optimize_module, "build_lp")
+    counted(lp_module, "orient_chain")
+    reps = optimize_all(pairs, policy, KINDS, f, dec, pc.labels,
+                        significance=0.0)
+    n_classes = len(pairs)
+    assert n_classes >= 2
+    assert len(reps) == len(KINDS) * n_classes
+    assert calls == dict.fromkeys(calls, n_classes)
+
+    for i, rep in enumerate(reps):
+        kind = KINDS[i % len(KINDS)]
+        alone = optimize_class(rep.pair, policy, kind, f, dec, pc.labels)
+        assert rep.loss_kind == kind
+        assert rep.solution.objective == alone.solution.objective
+        assert rep.solution.support == alone.solution.support
+        assert (rep.solution.support_coefficients
+                == alone.solution.support_coefficients)
+        assert rep.solution.iterations == alone.solution.iterations
+        assert rep.rounded == alone.rounded
+        assert rep.rounded_is_cycle == alone.rounded_is_cycle
+
+
+def test_optimize_all_h2_class():
+    series = cc.double_sine()
+    sup = cc.spectrum(series)
+    tau = cc.optimal_delay(sup, 4, cc.default_tau_grid(sup))
+    pc = cc.subsample(
+        cc.sliding_window(series, cc.EmbeddingParams(d=4, tau=tau)), 200
+    )
+    f = cc.build_rips(pc, cc.RipsConfig(max_dim=2, max_radius=2.0))
+    dec = reduce(f)
+    assert len(significant_pairs(dec.pairs(2))) == 1
+    reps = optimize_all(
+        dec.pairs(2), RelaxationPolicy.full(), KINDS, f, dec, pc.labels
+    )
+    assert [rep.loss_kind for rep in reps] == list(KINDS)
+    for rep in reps:
+        assert rep.rounded_is_cycle
+        support = rep.rounded.support
+        assert is_cycle(f, support, 2)
+        assert homologous(f, support, rep.pair.initial_rep.support, 2,
+                          value_cap=rep.relaxed_birth)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,24 +11,16 @@ from chronocycle.weights import (
     KINDS,
     WeightMatrix,
     length_weights,
-    simplex_time_label,
     simplex_weights,
     support_dispersion,
     vertex_weights,
     weights_for,
 )
 
+from _f2 import simplex_costs, vertex_costs
 from conftest import HEXAGON_UNITS
 
 PI = math.pi
-
-
-def test_simplex_time_label():
-    labels = {0: 0.0, 1: PI}
-    assert simplex_time_label((0, 1), labels) == pytest.approx(PI / 2)
-    labels = {0: PI / 2, 1: PI, 2: 2 * PI}
-    assert simplex_time_label((0, 1, 2), labels) == pytest.approx(7 * PI / 6)
-    assert simplex_time_label((0,), {0: 3.0}) == 3.0
 
 
 def test_vertex_weights():
@@ -44,24 +37,19 @@ def test_simplex_weights_square():
     P = [(0, 1), (1, 2), (2, 3), (0, 3)]
     labels = [0.0, 1.0, 2.0, 10.0]
     W = simplex_weights(P, labels)
-    dense = W.entries.toarray()
-    assert np.allclose(dense, dense.T)
-    assert np.allclose(np.diag(dense), 0.0)
-    # means are 0.5, 1.5, 6.0, 5.0; each edge pair sharing a vertex
-    assert dense[0, 1] == pytest.approx(1.0)
-    assert dense[1, 2] == pytest.approx(4.5)
-    assert dense[2, 3] == pytest.approx(1.0)
-    assert dense[0, 3] == pytest.approx(4.5)
-    assert dense[0, 2] == 0.0  # disjoint edges
-    # per-column cost is the worst adjacent gap
+    # means are 0.5, 1.5, 6.0, 5.0; the gaps between edges sharing a vertex
+    # are 1.0 (edges 0-1, 2-3) and 4.5 (edges 1-2, 0-3), and each edge
+    # costs its worst one
     assert np.allclose(W.column_costs, [4.5, 4.5, 4.5, 4.5])
+    assert np.allclose(W.entries.toarray(), np.diag(W.column_costs))
 
 
 def test_simplex_weights_isolated_column():
     P = [(0, 1), (2, 3)]
     W = simplex_weights(P, [0.0, 1.0, 2.0, 3.0])
-    assert W.entries.nnz == 0
-    assert np.allclose(W.column_costs, 0.0)
+    # disjoint edges share no facet, so neither has a gap to pay
+    assert np.array_equal(W.column_costs, [0.0, 0.0])
+    assert not W.entries.toarray().any()
 
 
 def test_simplex_weights_triangles():
@@ -69,8 +57,8 @@ def test_simplex_weights_triangles():
     labels = [0.0, 3.0, 6.0, 12.0]
     W = simplex_weights(P, labels)
     # means 3 and 7 share the facet (1, 2)
-    assert W.entries[0, 1] == pytest.approx(4.0)
     assert np.allclose(W.column_costs, [4.0, 4.0])
+    assert np.allclose(W.entries.toarray(), np.diag([4.0, 4.0]))
 
 
 def test_length_weights():
@@ -111,6 +99,31 @@ def test_weights_shift_and_scale(labels, shift, scale):
         w_scale = build(P, base * scale).column_costs
         assert np.array_equal(w0, w_shift)
         assert np.array_equal(w0 * scale, w_scale)
+
+
+@st.composite
+def vertex_sets(draw):
+    """Distinct vertex tuples of one dimension 0..3 over a few vertices,
+    with labels drawn from a small range so means and spreads tie."""
+    p = draw(st.integers(min_value=0, max_value=3))
+    n = draw(st.integers(min_value=p + 1, max_value=7))
+    pool = list(combinations(range(n), p + 1))
+    P = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    labels = draw(
+        st.lists(st.integers(min_value=0, max_value=4).map(lambda x: x / 3),
+                 min_size=n, max_size=n)
+    )
+    return P, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_sets())
+def test_costs_match_facet_dict_oracle(case):
+    P, labels = case
+    assert np.array_equal(vertex_weights(P, labels).column_costs,
+                          vertex_costs(P, labels))
+    assert np.array_equal(simplex_weights(P, labels).column_costs,
+                          simplex_costs(P, labels))
 
 
 def test_dispersion_on_hexagon(labeled):

@@ -193,6 +193,9 @@ class Filtration:
     turned into the one form kept: a read-only int array with a row per
     simplex in filtration order, vertex ids left-aligned and padded with -1.
     ``simplices`` is a view of it that builds one vertex tuple per access.
+    ``values``, ``dims`` and ``dim_indices(p)`` are read-only as well, so
+    views of them handed out (such as the LP's P) cannot change the
+    filtration.
 
     Each dimension's rows are first brought into lexicographic order (Rips
     levels already are, which one pass confirms); one stable sort of the
@@ -241,6 +244,8 @@ class Filtration:
         self._by_dim: list[np.ndarray] = [
             np.flatnonzero(self.dims == p) for p in range(self.max_dim + 1)
         ]
+        for a in (self.values, self.dims, *self._by_dim):
+            a.flags.writeable = False
         # lexicographic position within its level of each p-simplex, in
         # filtration order
         lex = [order[g] - start[p] for p, g in enumerate(self._by_dim)]
@@ -307,7 +312,7 @@ class Filtration:
         return float(self.values[i])
 
     def dim_indices(self, p: int) -> np.ndarray:
-        """Global indices of all p-simplices, in filtration order."""
+        """Global indices of all p-simplices, in filtration order; read-only."""
         if p < 0 or p > self.max_dim:
             return np.array([], dtype=int)
         return self._by_dim[p]

@@ -16,10 +16,12 @@ column reduces to zero, and apparent pairs (a simplex whose earliest cofacet
 has it as youngest facet) are read off with array operations.  The
 cofacets of every row come from the block's CSR, which a counting sort
 builds (scipy's CSC to CSR conversion), not a sort.  Only the few remaining
-columns are reduced, as Python-integer bitsets with XOR as column addition;
-each is built by setting its bits in a zeroed byte buffer.  The pairing's
-result is an owner array: the pivot row of each block column, -1 where
-there is none.
+columns are reduced, as packed uint64 words (bit j % 64 of word j // 64 for
+cofacet j).  A column addition XORs the words from the pivot's word on, or,
+when the owner was an apparent pair and so never reduced, flips the owner's
+own cofacet bits; either way it costs the words it touches, not the block
+width.  The pairing's result is an owner array: the pivot row of each block
+column, -1 where there is none.
 
 Representatives.  The standard left-to-right reduction R = boundary * V over
 F2 then runs on the negative columns only, which gives exactly the full
@@ -147,13 +149,22 @@ class _DimReduction:
         return self._v_cache[j]
 
 
+# words the pivot search scans at once past the current pivot's word; each
+# further window doubles, so a near pivot never scans the whole tail
+_FIRST_WINDOW = 64
+
+
 def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     """Pivot row of every column of one boundary block (-1 where none).
 
     Reduces the coboundary: column i of the anti-transposed block lists the
     cofacets of row simplex i, and its pivot is its earliest cofacet.  Rows
     where ``cleared`` is set are skipped; apparent pairs are taken without
-    reduction.
+    reduction.  The other columns are reduced as packed uint64 words, bit
+    j % 64 of word j // 64 standing for cofacet j, so the pivot is the lowest
+    set bit.  An addition XORs the words from the pivot's word on; an owner
+    that was never reduced (an apparent pair) is added by flipping the bits
+    of its own cofacets, so no column is built for it.
     """
     n_cols, k = faces.shape
     n_rows = len(cleared)
@@ -172,32 +183,53 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     apparent = faces[earliest].max(axis=1) == live
     owner = np.full(n_cols, -1, dtype=np.int64)
     owner[earliest[apparent]] = live[apparent]
-    owner = owner.tolist()
 
-    # bitset bit 8*nbytes-1-j stands for cofacet j, so the pivot is the top
-    # bit: byte j // 8 of a big-endian buffer, bit 0x80 >> j % 8 in it
-    nbytes = (n_cols + 7) // 8
-    byte = cofacets >> 3
-    bit = (0x80 >> (cofacets & 7)).astype(np.uint8)
+    nwords = -(-n_cols // 64)
+    # explicit uint64 scalars: numpy 1.x promotes uint64 mixed with a signed
+    # int to float64
+    one, word_shift, bit_mask = np.uint64(1), np.uint64(6), np.uint64(63)
 
-    def column(i):
-        buf = np.zeros(nbytes, dtype=np.uint8)
-        np.bitwise_or.at(buf, byte[indptr[i]:indptr[i + 1]],
-                         bit[indptr[i]:indptr[i + 1]])
-        return int.from_bytes(buf.tobytes(), "big")
+    def add_cofacets(col, i):
+        c = cofacets[indptr[i]:indptr[i + 1]].astype(np.uint64)
+        np.bitwise_xor.at(col, c >> word_shift, one << (c & bit_mask))
 
-    reduced: dict[int, int] = {}
+    def next_pivot(col, j):
+        """Lowest set bit of col above bit j, -1 if there is none."""
+        w = j >> 6
+        x = int(col[w]) >> (j & 63) >> 1
+        if x:
+            return j + (x & -x).bit_length()
+        w += 1
+        size = _FIRST_WINDOW
+        while w < nwords:
+            nz = np.flatnonzero(col[w:w + size])
+            if len(nz):
+                w += int(nz[0])
+                x = int(col[w])
+                return 64 * w + (x & -x).bit_length() - 1
+            w += size
+            size *= 2
+        return -1
+
+    reduced: dict[int, np.ndarray] = {}
     for i in live[~apparent][::-1].tolist():
-        col = column(i)
-        while col:
-            j = 8 * nbytes - col.bit_length()
-            other = owner[j]
+        col = np.zeros(nwords, dtype=np.uint64)
+        add_cofacets(col, i)
+        j = int(cofacets[indptr[i]])
+        while j >= 0:
+            other = int(owner[j])
             if other < 0:
                 owner[j] = i
                 reduced[i] = col
                 break
-            col ^= reduced[other] if other in reduced else column(other)
-    return np.array(owner, dtype=np.int64)
+            # neither column has a bit before the pivot's word
+            if other in reduced:
+                w = j >> 6
+                col[w:] ^= reduced[other][w:]
+            else:
+                add_cofacets(col, other)
+            j = next_pivot(col, j)
+    return owner
 
 
 class ReducedDecomposition:

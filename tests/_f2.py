@@ -285,6 +285,51 @@ def full_reduction(f):
     return blocks
 
 
+def int_cohomology_pairing(faces, cleared):
+    """Reference for ``reduction._cohomology_pairing``: the same clearing,
+    apparent pairs and column order, but every column it reduces is a Python
+    int as wide as the whole block (bit 8*nbytes-1-j for cofacet j, so the
+    pivot is the top bit), built in a zeroed big-endian byte buffer and
+    added by a full-width XOR."""
+    n_cols, k = faces.shape
+    n_rows = len(cleared)
+    block = sp.csc_matrix(
+        (np.ones(faces.size, dtype=bool), faces.ravel(),
+         np.arange(0, faces.size + 1, k)),
+        shape=(n_rows, n_cols),
+    ).tocsr()
+    cofacets, indptr = block.indices, block.indptr
+    live = np.flatnonzero((indptr[1:] > indptr[:-1]) & ~cleared)
+    earliest = cofacets[indptr[live]]
+    apparent = faces[earliest].max(axis=1) == live
+    owner = np.full(n_cols, -1, dtype=np.int64)
+    owner[earliest[apparent]] = live[apparent]
+    owner = owner.tolist()
+
+    nbytes = (n_cols + 7) // 8
+    byte = cofacets >> 3
+    bit = (0x80 >> (cofacets & 7)).astype(np.uint8)
+
+    def column(i):
+        buf = np.zeros(nbytes, dtype=np.uint8)
+        np.bitwise_or.at(buf, byte[indptr[i]:indptr[i + 1]],
+                         bit[indptr[i]:indptr[i + 1]])
+        return int.from_bytes(buf.tobytes(), "big")
+
+    reduced = {}
+    for i in live[~apparent][::-1].tolist():
+        col = column(i)
+        while col:
+            j = 8 * nbytes - col.bit_length()
+            other = owner[j]
+            if other < 0:
+                owner[j] = i
+                reduced[i] = col
+                break
+            col ^= reduced[other] if other in reduced else column(other)
+    return np.array(owner, dtype=np.int64)
+
+
 def rips_simplices(points, max_dim, radius=None):
     """(vertex tuple, value) of every Rips simplex through dimension
     max_dim + 1, by growing tuples one vertex at a time; ``radius`` None is

@@ -239,6 +239,14 @@ def test_boundary_matrix_is_cached_read_only():
         f.faces(2)[0, 0] = 0
 
 
+def test_filtration_arrays_are_read_only():
+    f = triangle_filtration()
+    arrays = [f.values, f.dims] + [f.dim_indices(p) for p in range(f.max_dim + 1)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),

@@ -147,6 +147,19 @@ def test_restrict_sets_no_free_columns(cylinder):
     assert sol.objective == pytest.approx(len(sol.support))
 
 
+def test_lp_cannot_write_through_to_the_filtration(cylinder):
+    dec = reduce(cylinder)
+    P, Qhat = restrict_sets(cylinder, dec, 1, 1.0)
+    essential = [pr for pr in dec.pairs(1) if pr.essential][0]
+    W = length_weights([cylinder.simplices[g] for g in P])
+    lp = build_lp(P, Qhat, essential.initial_rep, W,
+                  boundary_matrix(cylinder, 1, REAL), cylinder)
+    # P is a view of the filtration's index array, which is read-only
+    assert np.shares_memory(lp.P, cylinder.dim_indices(1))
+    with pytest.raises(ValueError, match="read-only"):
+        lp.P[0] = lp.P[1]
+
+
 def test_restrict_sets_nothing_alive(cylinder):
     dec = reduce(cylinder)
     with pytest.raises(ValueError, match="no simplices alive"):

@@ -2,15 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronocycle.complexes import Filtration, boundary
 from chronocycle.embedding import LabeledPointCloud
-from chronocycle.reduction import _DimReduction, diagram_to_json, full_diagram, reduce
+from chronocycle.reduction import (
+    _FIRST_WINDOW,
+    _DimReduction,
+    _cohomology_pairing,
+    diagram_to_json,
+    full_diagram,
+    reduce,
+)
 from chronocycle.rips import ENCLOSING, RipsConfig, build_rips
 
-from _f2 import betti, full_reduction, homologous, is_cycle, naive_pairs
+from _f2 import (
+    betti,
+    full_reduction,
+    homologous,
+    int_cohomology_pairing,
+    is_cycle,
+    naive_pairs,
+)
 from conftest import bent_cylinder, labeled_complex
 
 
@@ -202,6 +216,12 @@ def test_pair_ordering_is_stable():
     assert keys == sorted(keys)
 
 
+def bit_positions(bits):
+    """Ascending positions of the set bits of a Python-int bitset."""
+    raw = np.frombuffer(bits.to_bytes(-(-bits.bit_length() // 8), "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+
+
 def oracle_pairs(f, blocks, dim):
     """pairs(dim) as (birth, death, birth_simplex, death_simplex, rep
     support) tuples, read off the full reduction's R, low and V logs."""
@@ -217,7 +237,7 @@ def oracle_pairs(f, blocks, dim):
             paired.add(lw)
             b_g, d_g = int(births[lw]), int(cols[j])
             if f.values[b_g] < f.values[d_g]:
-                sup = [int(births[i]) for i in range(len(births)) if r[j] >> i & 1]
+                sup = births[bit_positions(r[j])].tolist()
                 out.append((f.value(b_g), f.value(d_g), b_g, d_g, sup))
     v = {}
 
@@ -233,9 +253,7 @@ def oracle_pairs(f, blocks, dim):
         if i in paired or (dim > 0 and blocks[dim][0][i]):
             continue
         g = int(births[i])
-        sup = [g] if dim == 0 else [
-            int(births[k]) for k in range(len(births)) if v_column(i) >> k & 1
-        ]
+        sup = [g] if dim == 0 else births[bit_positions(v_column(i))].tolist()
         out.append((f.value(g), math.inf, g, None, sup))
     return sorted(out, key=lambda t: (t[0], t[1], t[2]))
 
@@ -282,6 +300,40 @@ def test_random_rips_match_full_reduction(n, max_dim, radius, seed):
     pts = grid[rng.choice(len(grid), size=n, replace=False)]
     f = build_rips(cloud(pts), RipsConfig(max_dim=max_dim, max_radius=radius))
     assert_matches_full_reduction(f)
+
+
+def test_block_wider_than_the_first_pivot_window():
+    f = build_rips(circle_cloud(40, 0.1, 3), RipsConfig(max_dim=1))
+    words = -(-f.n_simplices(2) // 64)
+    assert words == 155 > _FIRST_WINDOW
+    assert_matches_full_reduction(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=12, max_value=16),
+    p=st.integers(min_value=1, max_value=3),
+    # whole words, partial words, and widths that end just past a word
+    width=st.one_of(
+        st.sampled_from([63, 64, 65, 128, 129, 192, 256]),
+        st.integers(min_value=1, max_value=400),
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(n=12, p=2, width=128, seed=0)
+@example(n=12, p=2, width=129, seed=0)
+def test_packed_pairing_matches_int_bitsets(n, p, width, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.array([(x, y) for x in range(4) for y in range(4)]) / 4.0
+    pts = grid[rng.choice(len(grid), size=n, replace=False)]
+    f = build_rips(cloud(pts), RipsConfig(max_dim=2))
+    # a prefix of a block's columns is a block; any cleared mask is a fair
+    # input, as both pairings skip cleared rows alike
+    faces = f.faces(p)[:width]
+    cleared = rng.random(f.n_simplices(p - 1)) < rng.choice([0.0, 0.3, 0.7])
+    got = _cohomology_pairing(faces, cleared)
+    assert got.dtype == np.int64
+    assert got.tolist() == int_cohomology_pairing(faces, cleared).tolist()
 
 
 def test_positive_columns_share_one_empty_log():

@@ -4,13 +4,15 @@ Given an F2 cycle c0 born at b, the optimization searches the real affine
 space c = c0 + boundary(w) over the (p+1)-simplices alive at b whose reduced
 columns are nonzero, minimizing the weighted l1 objective
 sum_j cost_j (c_j+ + c_j-) with cost_j the weight matrix's column cost.
-Variables split into positive/negative parts give a standard-form LP that
-HiGHS solves.
+The cycle c is split into nonnegative parts c+ and c-, so its l1 norm is
+linear; the boundary coefficients w stay free columns, which HiGHS takes
+as they are.
 
 Tie rule: when several supports reach the optimum, the one returned
 minimizes sum_j (1 + j) |c_j| among all optima, with j the position of the
 p-simplex in filtration order.  ``solve`` enforces it with a second pass
-over the optimal face, so the pick depends on the LP, not on pivot order.
+over the optimal face.  The rule is not yet a total order: distinct
+supports can share the least sum, and then the solver's path picks one.
 
 An exhaustive F2 oracle over subsets of the free columns validates the LP on
 small instances.
@@ -118,10 +120,11 @@ def build_lp(
 
 
 def _standard_form(lp: CycleLP):
+    """[I, -I, -A] over (c+, c-, w), with w the q trailing free columns."""
     m, q = lp.A.shape
     eye = sp.identity(m, format="csc")
-    A_std = sp.hstack([eye, -eye, -lp.A, lp.A], format="csc")
-    cost_std = np.concatenate([lp.cost, lp.cost, np.zeros(2 * q)])
+    A_std = sp.hstack([eye, -eye, -lp.A], format="csc")
+    cost_std = np.concatenate([lp.cost, lp.cost, np.zeros(q)])
     return A_std, cost_std
 
 
@@ -129,26 +132,28 @@ def solve(lp: CycleLP) -> CycleSolution:
     """Solve to an optimal vertex, picked among tied optima by the tie rule,
     and extract the rounded support.
 
-    Pass 1 minimizes the time-aware cost.  Pass 2 drops every variable whose
-    pass-1 reduced cost is positive, which by complementary slackness leaves
-    the optimal face: every optimum and nothing else.  Over that face it
-    minimizes sum_j (1 + j) |c_j|, with j the position of the p-simplex in
-    filtration order, so ties go to supports of early simplices whatever
-    the pivot order.  A non-optimal solver status or a residual out of
-    tolerance raises ``SolverStalled``.
+    Pass 1 minimizes the time-aware cost over (c+, c-, w), w free.  Pass 2
+    drops every c+ or c- variable whose pass-1 reduced cost is positive,
+    which by complementary slackness leaves the optimal face: every optimum
+    and nothing else.  Every free w column stays, as its reduced cost is
+    zero at any optimum.  Over that face pass 2 minimizes
+    sum_j (1 + j) |c_j|, with j the position of the p-simplex in filtration
+    order, so ties go to supports of early simplices.  A non-optimal solver
+    status or a residual out of tolerance raises ``SolverStalled``.
     """
     m, q = lp.A.shape
     A_std, cost_std = _standard_form(lp)
-    first = revised_simplex(cost_std, A_std, lp.c0)
+    first = revised_simplex(cost_std, A_std, lp.c0, n_free=q)
     face = first.reduced <= TIE_TOL * (1 + float(np.max(cost_std, initial=0)))
+    face[2 * m :] = True
     rank = np.arange(1, m + 1, dtype=float)
-    tie_cost = np.concatenate([rank, rank, np.zeros(2 * q)])
-    second = revised_simplex(tie_cost[face], A_std[:, face], lp.c0)
+    tie_cost = np.concatenate([rank, rank, np.zeros(q)])
+    second = revised_simplex(tie_cost[face], A_std[:, face], lp.c0, n_free=q)
     x = np.zeros(len(cost_std))
     x[face] = second.x
 
     c = x[:m] - x[m : 2 * m]
-    w = x[2 * m : 2 * m + q] - x[2 * m + q :]
+    w = x[2 * m :]
     residual = float(
         np.max(np.abs(c - lp.c0 - (lp.A @ w if q else 0)))
         if m

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 from scipy.spatial.distance import pdist, squareform
 
 
@@ -249,6 +250,31 @@ def gray_code_optimum(P, Qhat, c0_support, f, costs):
         if best_val is None or val < best_val:
             best_val, best_sup = val, sorted(int(P[i]) for i in cur)
     return best_val, best_sup
+
+
+def split_w_solve(A, cost, c0, tie_tol=1e-9):
+    """Reference for ``lp.solve``: the split formulation [I, -I, -A, A] over
+    (c+, c-, w+, w-), every variable nonnegative, in the same two HiGHS
+    passes (the cost, then sum_j (1 + j) |c_j| over the variables whose
+    pass-1 reduced cost is zero).  Returns c."""
+    m, q = A.shape
+    eye = sp.identity(m, format="csc")
+    A_std = sp.hstack([eye, -eye, -A, A], format="csc")
+    cost_std = np.concatenate([cost, cost, np.zeros(2 * q)])
+
+    def highs(c, M):
+        res = linprog(c, A_eq=M, b_eq=c0, bounds=(0, None), method="highs-ds")
+        assert res.status == 0, res.message
+        return res
+
+    first = highs(cost_std, A_std)
+    reduced = cost_std - A_std.T @ first.eqlin.marginals
+    face = reduced <= tie_tol * (1 + float(np.max(cost_std, initial=0)))
+    rank = np.arange(1, m + 1, dtype=float)
+    tie_cost = np.concatenate([rank, rank, np.zeros(2 * q)])
+    x = np.zeros(len(cost_std))
+    x[face] = highs(tie_cost[face], A_std[:, face]).x
+    return x[:m] - x[m : 2 * m]
 
 
 def full_reduction(f):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chronocycle as cc
 from chronocycle.complexes import REAL, Chain, Filtration, boundary_matrix
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.lp import (
@@ -10,11 +11,12 @@ from chronocycle.lp import (
     solve,
     support_cost,
 )
+from chronocycle.optimize import RelaxationPolicy
 from chronocycle.reduction import reduce
 from chronocycle.rips import RipsConfig, build_rips
-from chronocycle.weights import length_weights, vertex_weights
+from chronocycle.weights import length_weights, vertex_weights, weights_for
 
-from _f2 import gray_code_optimum, is_cycle
+from _f2 import gray_code_optimum, is_cycle, split_w_solve
 
 
 def chain_over(f, edges):
@@ -275,3 +277,62 @@ def test_restrict_sets_matches_column_loop():
             assert Qhat.dtype == np.array(loop, dtype=int).dtype
             assert Qhat.tolist() == loop
             assert P.tolist() == [g for g in f.dim_indices(1) if f.values[g] <= b]
+
+
+def class_lps(f, dec, labels, pairs, policy,
+              kinds=("vertex", "simplex", "length")):
+    """The LP of each H1 class at its relaxed birth, once per kind."""
+    bd = boundary_matrix(f, 1, REAL)
+    for pr in pairs:
+        P, Qhat = restrict_sets(f, dec, 1, policy.relaxed_birth(pr, f))
+        verts = np.array([f.simplices[g] for g in P])
+        for kind in kinds:
+            W = weights_for(kind, verts, labels)
+            yield build_lp(P, Qhat, pr.initial_rep, W, bd, f)
+
+
+def assert_matches_split_w(lp):
+    """The free-w LP and the split-w oracle reach the same objective and the
+    same tie cost sum_j (1 + j) |c_j|: both satisfy the tie rule.  Returns
+    the two."""
+    sol = solve(lp)
+    ref = split_w_solve(lp.A, lp.cost, lp.c0)
+    rank = np.arange(1, len(ref) + 1)
+    got = (sol.objective, float(rank @ np.abs(sol.c)))
+    want = (float(lp.cost @ np.abs(ref)), float(rank @ np.abs(ref)))
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    return got
+
+
+@pytest.mark.parametrize("policy", [RelaxationPolicy.full(),
+                                    RelaxationPolicy.fraction(0.7)],
+                         ids=["full", "fraction"])
+def test_free_w_matches_split_w_oracle(policy):
+    checked = 0
+    for seed in range(30):
+        f, pc = rips_instance(seed, n=7)
+        dec = reduce(f)
+        pairs = [pr for pr in dec.pairs(1) if not pr.essential]
+        for lp in class_lps(f, dec, pc.labels, pairs, policy):
+            assert_matches_split_w(lp)
+            checked += 1
+    assert checked >= 30
+
+
+def test_free_w_matches_split_w_on_sine_tie():
+    # noisy sine seed 3 as the sine-optimize benchmark runs it: its length
+    # class under fraction(0.7) has two integral optima of objective 10 and
+    # tie cost 2755, so either formulation may return either one
+    series = cc.noisy_sine(n=200, sigma=0.1, seed=3)
+    sup = cc.spectrum(series)
+    d = cc.embedding_dimension(sup)
+    tau = cc.optimal_delay(sup, d, cc.default_tau_grid(sup))
+    pc = cc.subsample(
+        cc.sliding_window(series, cc.EmbeddingParams(d=d, tau=tau)), 60
+    )
+    f = build_rips(pc, RipsConfig(max_dim=1, max_radius=2.0))
+    dec = reduce(f)
+    pairs = cc.significant_pairs(dec.pairs(1))[:1]
+    lp, = class_lps(f, dec, pc.labels, pairs, RelaxationPolicy.fraction(0.7),
+                    kinds=("length",))
+    assert assert_matches_split_w(lp) == pytest.approx((10.0, 2755.0), abs=1e-9)

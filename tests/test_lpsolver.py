@@ -104,3 +104,60 @@ def test_reduced_costs_certify_optimum(seed):
     res = revised_simplex(cost, dense(A), b)
     assert np.all(res.reduced >= -1e-9)
     assert np.allclose(res.reduced * res.x, 0.0, atol=1e-9)
+
+
+def test_free_column_goes_negative():
+    # x + w = -2 with x >= 0 has solutions only for w <= -2
+    A = dense([[1.0, 1.0]])
+    cost = np.array([1.0, 0.0])
+    res = revised_simplex(cost, A, np.array([-2.0]), n_free=1)
+    assert res.objective == pytest.approx(0.0)
+    assert res.x == pytest.approx([0.0, -2.0])
+    with pytest.raises(SolverStalled, match="infeasible"):
+        revised_simplex(cost, A, np.array([-2.0]))
+
+
+def l1_instance(seed, m=6, q=3):
+    # min sum |s| over s = b + F w, as (s+, s-, w) with w free: bounded by 0
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(-2.0, 2.0, size=(m, q))
+    A = np.hstack([np.eye(m), -np.eye(m), -F])
+    cost = np.concatenate([rng.uniform(0.5, 2.0, size=m)] * 2 + [np.zeros(q)])
+    return cost, A, rng.uniform(-3.0, 3.0, size=m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_free_columns_have_zero_reduced_cost(seed):
+    cost, A, b = l1_instance(seed)
+    free = revised_simplex(cost, dense(A), b, n_free=3)
+    # the same problem with w split into nonnegative halves
+    split = revised_simplex(np.concatenate([cost, np.zeros(3)]),
+                            dense(np.hstack([A, -A[:, -3:]])), b)
+    assert free.objective == pytest.approx(split.objective, abs=1e-9)
+    assert np.allclose(A @ free.x, b, atol=1e-9)
+    assert np.all(free.x[:-3] >= -1e-9)
+    assert np.all(np.abs(free.reduced[-3:]) <= 1e-9)
+    assert np.all(free.reduced[:-3] >= -1e-9)
+    assert np.allclose(free.reduced[:-3] * free.x[:-3], 0.0, atol=1e-9)
+
+
+def test_free_column_unbounded():
+    # x + w = 1: with w free, w -> -inf and x -> +inf
+    A = dense([[1.0, 1.0]])
+    cost = np.array([0.0, 1.0])
+    assert revised_simplex(cost, A, np.array([1.0])).objective == 0.0
+    with pytest.raises(SolverStalled, match="unbounded"):
+        revised_simplex(cost, A, np.array([1.0]), n_free=1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_no_free_columns_is_the_nonnegative_lp(seed):
+    # n_free=0 is the x >= 0 problem exactly: same vertex, same pivots
+    cost, A, b = random_instance(seed)
+    for cost, A, b in ((cost, dense(A), b), beale_instance()):
+        res = revised_simplex(cost, A, b, n_free=0)
+        ref = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None),
+                      method="highs-ds")
+        assert np.array_equal(res.x, ref.x)
+        assert res.objective == ref.fun
+        assert res.iterations == ref.nit

@@ -20,14 +20,15 @@ dimensions concatenated in ascending order, then gives the (value,
 dimension, lexicographic) filtration order.
 
 A filtration finds every face of every simplex once, when it is built: per
-dimension, an integer array gives each p-simplex's faces as local indices
-into the (p-1)-simplices, in vertex-deletion order.  The faces are looked up
-among the lexicographically ordered (p-1)-simplices, whose keys already
-ascend, and each dimension's inverse permutation maps the positions found
-to filtration order.  This face index is the only face lookup: the closure
-check runs on it, boundary matrices, chain boundaries, orientation and the
-persistence reduction are built from it, and each boundary matrix is built
-once and cached.
+dimension, an int32 array gives each p-simplex's faces as local indices
+into the (p-1)-simplices, in vertex-deletion order.  Faces are addressed by
+their vertices' ranks among the 0-simplices, which for Rips are the ids
+themselves: a vertex by its rank, an edge through a dense table over pairs
+of ranks, and a larger face, or any face among more than
+``_TABLE_MAX_VERTICES`` vertices, by ``searchsorted`` over rank keys.  This
+face index is the only face lookup: the closure check runs on it, boundary
+matrices, chain boundaries, orientation and the persistence reduction are
+built from it, and each boundary matrix is built once and cached.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ import scipy.sparse as sp
 
 F2 = "f2"
 REAL = "real"
+
+# most vertices for which a filtration finds triangle faces in a dense edge
+# table: (n+1)**2 int32 entries, 16 MB at the bound
+_TABLE_MAX_VERTICES = 2048
 
 
 @dataclass
@@ -72,8 +77,9 @@ class SimplexView(Sequence):
     """Read-only sequence of a filtration's simplices as vertex tuples.
 
     Each access builds the one tuple asked for from the filtration's vertex
-    array; no list of all simplices is ever held.  Compares equal to a list
-    or tuple of the same vertex tuples.
+    array, and a slice the list of tuples it covers; no list of all
+    simplices is ever held.  Compares equal to a list or tuple of the same
+    vertex tuples.
     """
 
     __slots__ = ("_verts", "_lens")
@@ -86,6 +92,8 @@ class SimplexView(Sequence):
         return len(self._verts)
 
     def __getitem__(self, g):
+        if isinstance(g, slice):
+            return [self[i] for i in range(*g.indices(len(self)))]
         return tuple(self._verts[g, : self._lens[g]].tolist())
 
     def __eq__(self, other) -> bool:
@@ -97,6 +105,16 @@ class SimplexView(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _empty_faces(p: int) -> np.ndarray:
+    """The face index of a dimension without simplices: no rows."""
+    return _read_only(np.empty((0, max(p, 0) + 1), dtype=np.int32))
 
 
 def _levels_of_pairs(simplices) -> list[tuple[np.ndarray, list[float]]]:
@@ -207,7 +225,7 @@ class Filtration:
     non-negative integer ids, no duplicates), closure under faces and value
     monotonicity, and keeps the face index that check computes:
     ``faces(p)`` gives, for each p-simplex, the local (p-1)-index of each
-    face.
+    face, as int32; vertex ids stay int64, so ids such as ``10**10`` work.
     """
 
     def __init__(
@@ -256,41 +274,56 @@ class Filtration:
     def _face_index(levels, lex) -> list[np.ndarray]:
         """Local face indices per dimension, checking closure and values.
 
-        Vertex ids are replaced by their ranks among the 0-simplices, and a
-        vertex that is not a 0-simplex by the rank one past the last, which
-        no face lookup can find.  Each (p-1)-simplex is keyed by its ranks
-        read as base-(n+1) digits; in lexicographic row order these keys
-        ascend, so the faces of all p-simplices are located with one
-        ``searchsorted`` per deleted vertex position.  The positions found
-        are lexicographic; each dimension's inverse permutation turns them
-        into filtration-local indices.
+        Vertex ids become ranks among the 0-simplices, with rank n for a
+        vertex that is not one; when the ids are 0..n-1 the ranks are the
+        ids.  Each face is read at its local index in the level below, -1
+        where it is missing: a vertex at its rank; an edge from a dense table
+        of (n+1)**2 entries over its two ranks, -1 wherever there is no edge;
+        and a larger face, or any face past ``_TABLE_MAX_VERTICES`` vertices,
+        at the ``searchsorted`` position of its rank key (the ranks read as
+        base-(n+1) digits, which ascend in lexicographic row order).  The
+        p-simplices are checked in lexicographic order, so an error names
+        the first bad one in that order; each face column is then gathered
+        into filtration order.
         """
         ids = levels[0][0][:, 0]
         n = len(ids)
-        keys = np.arange(n)
-        faces = [np.empty((0, 0), dtype=np.int64)]
+        table = n <= _TABLE_MAX_VERTICES
+        faces = [_empty_faces(0)]
         for p in range(1, len(levels)):
             s, value = levels[p]
-            rank = [np.searchsorted(ids, s[:, c]) for c in range(p + 1)]
-            for c, r in enumerate(rank):
-                r[np.append(ids, -1)[r] != s[:, c]] = n
-            # the -1 sentinel is what a face key past the last key meets
-            found = np.append(keys, -1)
-            below = levels[p - 1][1]
-            # local index of each lexicographic (p-1)-simplex
-            local = np.empty(len(lex[p - 1]), dtype=np.int64)
-            local[lex[p - 1]] = np.arange(len(local))
-            out = np.empty(s.shape, dtype=np.int64)
+            if ids[-1] == n - 1:  # ids 0..n-1: an id is its rank
+                rank = [np.minimum(s[:, c], n) for c in range(p + 1)]
+            else:
+                rank = [np.searchsorted(ids, s[:, c]) for c in range(p + 1)]
+                for c, r in enumerate(rank):
+                    r[np.append(ids, -1)[r] != s[:, c]] = n
+            # local index of each lexicographic (p-1)-simplex, then -1 for a
+            # face that is not there; the (p-1)-values in local order
+            m = len(lex[p - 1])
+            local = np.full(m + 1, -1, dtype=np.int32)
+            local[lex[p - 1]] = np.arange(m)
+            below = levels[p - 1][1][lex[p - 1]]
+            limit = value + 1e-12
+            out = np.empty(s.shape, dtype=np.int32)
             for i in range(p + 1):
-                face_keys = np.ravel_multi_index((*rank[:i], *rank[i + 1:]), (n + 1,) * p)
-                pos = np.searchsorted(keys, face_keys)
-                missing = np.flatnonzero(found[pos] != face_keys)
+                face = (*rank[:i], *rank[i + 1:])
+                if p == 1:
+                    pos = local[face[0]]
+                elif p == 2 and table:
+                    pos = edges[face[0] * (n + 1) + face[1]]
+                else:
+                    face_keys = np.ravel_multi_index(face, (n + 1,) * p)
+                    at = np.searchsorted(keys, face_keys)
+                    at[np.append(keys, -1)[at] != face_keys] = len(keys)
+                    pos = local[at]
+                missing = np.flatnonzero(pos < 0)
                 if len(missing):
                     t = tuple(s[missing[0]].tolist())
                     raise ValueError(
                         f"face {t[:i] + t[i + 1:]} of {t} missing from filtration"
                     )
-                late = np.flatnonzero(below[pos] > value + 1e-12)
+                late = np.flatnonzero(below[pos] > limit)
                 if len(late):
                     j = late[0]
                     t = tuple(s[j].tolist())
@@ -298,11 +331,13 @@ class Filtration:
                         f"face {t[:i] + t[i + 1:]} enters at {below[pos[j]]} "
                         f"after coface {t} at {value[j]}"
                     )
-                out[:, i] = local[pos[lex[p]]]
+                out[:, i] = pos[lex[p]]
             if p + 1 < len(levels):
                 keys = np.ravel_multi_index(tuple(rank), (n + 1,) * (p + 1))
-            out.flags.writeable = False
-            faces.append(out)
+                if p == 1 and table:
+                    edges = np.full((n + 1) ** 2, -1, dtype=np.int32)
+                    edges[keys[lex[p]]] = np.arange(len(s))
+            faces.append(_read_only(out))
         return faces
 
     def __len__(self) -> int:
@@ -314,7 +349,7 @@ class Filtration:
     def dim_indices(self, p: int) -> np.ndarray:
         """Global indices of all p-simplices, in filtration order; read-only."""
         if p < 0 or p > self.max_dim:
-            return np.array([], dtype=int)
+            return _read_only(np.empty(0, dtype=self._by_dim[0].dtype))
         return self._by_dim[p]
 
     def n_simplices(self, p: int) -> int:
@@ -325,7 +360,7 @@ class Filtration:
         of the faces of the j-th p-simplex, column i the face dropping vertex
         position i.  Read-only; empty outside dimensions 1..max_dim."""
         if p < 1 or p > self.max_dim:
-            return np.empty((0, max(p, 0) + 1), dtype=np.int64)
+            return _empty_faces(p)
         return self._faces[p]
 
 

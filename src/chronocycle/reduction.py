@@ -29,7 +29,11 @@ reduction's R: that algorithm only ever adds a column that owns a pivot, and
 a positive column's R is zero, so positive columns never enter it.  The
 owner array is the block's ``low``, the one pivot array: by the duality
 above every R column's pivot equals it, and the reduction raises if one does
-not.  V is kept as a log of column additions and expanded on demand.  A
+not.  Most negative columns are already reduced: as in Ripser, a column
+whose youngest face is its own pivot row needs no addition, because that
+row has one owner and no earlier column can claim it.  Their R columns are
+their boundaries, built in one pass; only the rest are reduced one at a
+time.  V is kept as a log of column additions and expanded on demand.  A
 positive column's log is computed when its V column is first needed
 (essential classes, ``check_rv``), by the same column reduction.
 """
@@ -71,12 +75,13 @@ class _DimReduction:
     of each column, -1 where its reduced column is zero.  ``r`` and ``adds``
     have one entry per column.  Positive columns (R = 0) start out sharing
     one empty ``adds`` entry; their addition log is filled in when their V
-    column is first asked for.
+    column is first asked for.  Negative columns that were reduced as they
+    stand share another empty entry, which stays empty.
     """
 
     __slots__ = (
         "rows", "cols", "faces", "r", "adds", "low", "pivot_of_row",
-        "_unreduced", "_v_cache",
+        "_unreduced", "_as_is", "_v_cache",
     )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
@@ -88,13 +93,33 @@ class _DimReduction:
         self.low = low
         n = len(cols)
         self._unreduced: list[int] = []
+        self._as_is: list[int] = []
         self.r: list[int] = [0] * n
         self.adds: list[list[int]] = [self._unreduced] * n
         self.pivot_of_row: dict[int, int] = {}
         self._v_cache: dict[int, int] = {}
         negative = np.flatnonzero(low >= 0)
-        for j, lw, face_rows in zip(negative.tolist(), low[negative].tolist(),
-                                    faces[negative].tolist()):
+        # a column whose youngest face is its own pivot row is reduced as it
+        # stands: that row has one owner, so no earlier column claims it
+        ready = faces[negative].max(axis=1) == low[negative]
+        fast, slow = negative[ready], negative[~ready]
+        fast_cols, fast_rows = fast.tolist(), low[fast].tolist()
+        bits = [0] * len(fast_cols)
+        for i in range(faces.shape[1]):
+            bits = [b | 1 << row for b, row in zip(bits, faces[fast, i].tolist())]
+        for j, b in zip(fast_cols, bits):
+            self.r[j] = b
+            self.adds[j] = self._as_is
+        # the others are reduced left to right, each seeing the pivot rows of
+        # the earlier columns only, as in the full reduction, so that a wrong
+        # pairing fails the pivot check below as it would there
+        done = 0
+        for j, cut, lw, face_rows in zip(
+            slow.tolist(), np.searchsorted(fast, slow).tolist(),
+            low[slow].tolist(), faces[slow].tolist(),
+        ):
+            self.pivot_of_row.update(zip(fast_rows[done:cut], fast_cols[done:cut]))
+            done = cut
             col, added = self._reduce_column(j, face_rows)
             # equal by duality; a difference is a bug in one of the two
             if col.bit_length() - 1 != lw:
@@ -105,6 +130,14 @@ class _DimReduction:
             self.r[j] = col
             self.adds[j] = added
             self.pivot_of_row[lw] = j
+        self.pivot_of_row.update(zip(fast_rows[done:], fast_cols[done:]))
+        # a row with two owners would make the shortcut above wrong
+        if len(self.pivot_of_row) < len(negative):
+            owned, count = np.unique(low[negative], return_counts=True)
+            raise RuntimeError(
+                f"the cohomology pairing gives pivot row {owned[count > 1][0]} "
+                f"to more than one column"
+            )
 
     def _reduce_column(self, j: int, face_rows: list[int]) -> tuple[int, list[int]]:
         """Left-to-right reduction of boundary column j, whose faces are

@@ -10,8 +10,10 @@ adjacency without simplex objects: each dimension is an (m, k+1) array of
 vertex ids in lexicographic order.  The next dimension grows in row chunks:
 the adjacency rows of each simplex's vertices, restricted to vertices above
 the simplex's last one, are ANDed, and ``np.nonzero`` lists the new
-simplices, again in lexicographic order.  A new simplex's value is the
-larger of its parent's value and its distances to the new vertex.
+simplices, again in lexicographic order, written straight into the next
+level's array.  A new simplex's value is the larger of its parent's value
+and its distances to the new vertex: starting from the parent's value, one
+flat gather from the distance matrix per old vertex raises it in place.
 
 Popcounting the same masks sizes the next level before it is built: with
 a ``cap``, ``build_rips`` counts each level first and raises instead of
@@ -100,8 +102,11 @@ def _expand(simp: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, v = np.nonzero(mask)
         rows.append(r + start)
         verts.append(v)
-    rows, verts = np.concatenate(rows), np.concatenate(verts)
-    return np.column_stack([simp[rows], verts]), rows
+    rows = np.concatenate(rows)
+    out = np.empty((len(rows), simp.shape[1] + 1), dtype=simp.dtype)
+    np.take(simp, rows, axis=0, out=out[:, :-1])
+    np.concatenate(verts, out=out[:, -1])
+    return out, rows
 
 
 def _check_budget(total: int, cap: Optional[int]):
@@ -117,6 +122,7 @@ def _rips_levels(points, cfg: RipsConfig,
     _check_budget(len(points), cap)
     dist, up = _graph(points, cfg)
     n = len(dist)
+    flat = dist.ravel()
     simp, vals = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
     levels = [(simp, vals)]
     total = n
@@ -127,8 +133,12 @@ def _rips_levels(points, cfg: RipsConfig,
         simp, parent = _expand(simp, up)
         if len(simp) == 0:
             break
-        new_dist = dist[simp[:, :-1], simp[:, -1:]].max(axis=1)
-        vals = np.maximum(vals[parent], new_dist)
+        # the parent's value, raised by each distance to the new vertex:
+        # one flat gather per column, no (m, k) block of distances
+        vals = vals[parent]
+        last = simp[:, -1]
+        for c in range(simp.shape[1] - 1):
+            np.maximum(vals, flat[simp[:, c] * n + last], out=vals)
         levels.append((simp, vals))
     return levels
 

@@ -311,6 +311,29 @@ def full_reduction(f):
     return blocks
 
 
+def negative_column_reduction(faces, low):
+    """Reference for ``reduction._DimReduction``: every negative column of
+    one block (``low >= 0``) reduced left to right from its whole boundary,
+    however few additions it needs.  Returns (r, adds, pivot_of_row) as the
+    block stores them, with R = 0 and an empty log for positive columns."""
+    n = len(low)
+    r, adds, pivot_of_row = [0] * n, [[] for _ in range(n)], {}
+    for j in np.flatnonzero(low >= 0).tolist():
+        col = 0
+        for i in faces[j].tolist():
+            col |= 1 << i
+        while col:
+            other = pivot_of_row.get(col.bit_length() - 1)
+            if other is None:
+                break
+            col ^= r[other]
+            adds[j].append(other)
+        assert col.bit_length() - 1 == low[j]
+        r[j] = col
+        pivot_of_row[int(low[j])] = j
+    return r, adds, pivot_of_row
+
+
 def int_cohomology_pairing(faces, cleared):
     """Reference for ``reduction._cohomology_pairing``: the same clearing,
     apparent pairs and column order, but every column it reduces is a Python

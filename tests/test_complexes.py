@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronocycle import complexes, rips
 from chronocycle.complexes import (
     F2,
     REAL,
@@ -245,6 +246,27 @@ def test_filtration_arrays_are_read_only():
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[-1]
+    # outside the dimension range: empty, read-only, and of the in-range dtypes
+    for p in (-1, f.max_dim + 1):
+        empty = f.dim_indices(p)
+        assert empty.shape == (0,) and empty.dtype == f.dim_indices(0).dtype
+        assert not empty.flags.writeable
+    for p in (-1, 0, f.max_dim + 1):
+        empty = f.faces(p)
+        assert empty.shape == (0, max(p, 0) + 1)
+        assert empty.dtype == f.faces(1).dtype == np.int32
+        assert not empty.flags.writeable
+
+
+def test_simplices_view_slices():
+    f = triangle_filtration()
+    every = list(f.simplices)
+    assert f.simplices[0:2] == [(0,), (1,)]
+    for sl in (slice(None), slice(3, None), slice(-2, None), slice(None, None, -3),
+               slice(5, 2), slice(1, 100, 2)):
+        got = f.simplices[sl]
+        assert type(got) is list and got == every[sl]
+    assert f.simplices[-1] == (0, 1, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,6 +293,78 @@ def test_levels_match_simplices_input(n, seed):
     assert_sorted_key_order(f, items)
     order = rng.permutation(len(items))
     assert_same_filtration(f, Filtration([items[i] for i in order]))
+
+
+def spread_ids(items, rng):
+    """The same complex with vertex v renamed to the v-th of n sorted random
+    ids, so the ids are not 0..n-1."""
+    n = sum(1 for s, _ in items if len(s) == 1)
+    ids = np.sort(rng.choice(10**6, size=n, replace=False)).tolist()
+    return [(tuple(ids[v] for v in s), value) for s, value in items]
+
+
+def rank_key_filtration(*args, **kwargs):
+    """A filtration built with the edge table off: every face of dimension
+    1 and up is found by its rank key."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_TABLE_MAX_VERTICES", 0)
+        return Filtration(*args, **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    spread=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_edge_table_matches_rank_keys(n, spread, seed):
+    rng = np.random.default_rng(seed)
+    items = random_closed_complex(n, rng)
+    if spread:
+        items = spread_ids(items, rng)
+    f = Filtration(items)
+    assert_same_filtration(f, rank_key_filtration(items))
+    for p in range(1, f.max_dim + 1):
+        assert f.faces(p).dtype == np.int32
+
+
+def test_edge_table_matches_rank_keys_on_rips():
+    rng = np.random.default_rng(3)
+    for max_dim in (1, 2, 3):
+        pc = LabeledPointCloud(points=rng.random((12, 2)), labels=np.arange(12.0))
+        levels = rips._rips_levels(pc.points, RipsConfig(max_dim=max_dim))
+        f = Filtration(levels=levels)
+        assert f.max_dim == max_dim + 1
+        assert_same_filtration(f, rank_key_filtration(levels=levels))
+
+
+@pytest.mark.parametrize("items, message", [
+    # a triangle without one of its edges
+    ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+      ((0, 1, 2), 1.0)], "face (1, 2) of (0, 1, 2) missing from filtration"),
+    # a triangle before one of its edges
+    ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+      ((1, 2), 2.0), ((0, 1, 2), 1.0)],
+     "face (1, 2) enters at 2.0 after coface (0, 1, 2) at 1.0"),
+    # the same on vertex ids that are not 0..n-1
+    ([((3,), 0.0), ((7,), 0.0), ((11,), 0.0), ((3, 7), 1.0), ((7, 11), 1.0),
+      ((3, 7, 11), 1.0)], "face (3, 11) of (3, 7, 11) missing from filtration"),
+    ([((3,), 0.0), ((7,), 0.0), ((11,), 0.0), ((3, 7), 1.0), ((3, 11), 1.5),
+      ((7, 11), 1.0), ((3, 7, 11), 1.0)],
+     "face (3, 11) enters at 1.5 after coface (3, 7, 11) at 1.0"),
+    # an edge on a vertex past the last id, and on one between ids
+    ([((0,), 0.0), ((0, 10**10), 1.0)],
+     "face (10000000000,) of (0, 10000000000) missing from filtration"),
+    ([((0,), 0.0), ((4,), 0.0), ((0, 2), 1.0)], "face (2,) of (0, 2) missing from filtration"),
+    # a tetrahedron before one of its triangles
+    (closed_simplex((0, 1, 2, 3))[:-2] + [((1, 2, 3), 4.0), ((0, 1, 2, 3), 3.0)],
+     "face (1, 2, 3) enters at 4.0 after coface (0, 1, 2, 3) at 3.0"),
+])
+def test_face_errors_are_the_same_on_both_paths(items, message):
+    for build in (Filtration, rank_key_filtration):
+        with pytest.raises(ValueError) as err:
+            build(items)
+        assert str(err.value) == message
 
 
 def random_closed_complex(n, rng):

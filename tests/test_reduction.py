@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chronocycle as cc
+
 from chronocycle.complexes import Filtration, boundary
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.reduction import (
@@ -24,6 +26,7 @@ from _f2 import (
     int_cohomology_pairing,
     is_cycle,
     naive_pairs,
+    negative_column_reduction,
 )
 from conftest import bent_cylinder, labeled_complex
 
@@ -353,7 +356,7 @@ def test_low_is_the_read_only_pairing():
             blk.low[0] = 0
 
 
-@pytest.mark.parametrize("corrupt", ["move", "add", "drop"])
+@pytest.mark.parametrize("corrupt", ["move", "add", "drop", "twice"])
 def test_corrupt_pairing_fails_the_pivot_check(corrupt):
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
     blk = reduce(f).blocks[2]
@@ -364,8 +367,54 @@ def test_corrupt_pairing_fails_the_pivot_check(corrupt):
         low[j] = next(i for i in range(len(blk.rows)) if i not in set(low.tolist()))
     elif corrupt == "add":  # a positive column owns a row
         low[np.flatnonzero(low < 0)[0]] = len(blk.rows) - 1
-    else:  # a column that owns a row every later one must reduce by
+    elif corrupt == "drop":  # a column that owns a row later ones reduce by
         j = next(j for j in negative if any(j in a for a in blk.adds))
         low[j] = -1
+    else:  # a positive column whose youngest face is a negative one's row
+        top = blk.faces.max(axis=1)
+        q, j = next((q, j) for q in np.flatnonzero(low < 0) for j in negative
+                    if top[q] == top[j] == low[j])
+        low[q] = low[j]
     with pytest.raises(RuntimeError, match="pivot"):
         _DimReduction(blk.rows, blk.cols, blk.faces, low)
+
+
+def assert_matches_negative_column_reduction(dec):
+    for blk in dec.blocks.values():
+        r, adds, pivot_of_row = negative_column_reduction(blk.faces, blk.low)
+        assert blk.r == r
+        assert blk.adds == adds
+        # the same entries, inserted in the same column order
+        assert list(blk.pivot_of_row.items()) == list(pivot_of_row.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    max_dim=st.integers(min_value=1, max_value=3),
+    radius=st.sampled_from([ENCLOSING, 0.4, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_random_blocks_match_the_all_columns_loop(n, max_dim, radius, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.array([(x, y) for x in range(4) for y in range(4)]) / 4.0
+    pts = grid[rng.choice(len(grid), size=n, replace=False)]
+    f = build_rips(cloud(pts), RipsConfig(max_dim=max_dim, max_radius=radius))
+    assert_matches_negative_column_reduction(reduce(f))
+
+
+def test_torus_blocks_match_the_all_columns_loop():
+    # the benchmark's torus input at seed 0: 150 / 11,175 / 551,300 simplices,
+    # where 10,931 of the 11,026 negative triangle columns are already reduced
+    series = cc.double_sine()
+    sup = cc.spectrum(series)
+    tau = cc.optimal_delay(sup, 4, cc.default_tau_grid(sup))
+    pc = cc.subsample(cc.sliding_window(series, cc.EmbeddingParams(d=4, tau=tau)), 150)
+    f = build_rips(pc, RipsConfig(max_dim=1))
+    assert [f.n_simplices(p) for p in range(3)] == [150, 11_175, 551_300]
+    dec = reduce(f)
+    blk = dec.blocks[2]
+    negative = np.flatnonzero(blk.low >= 0)
+    adds_nothing = sum(1 for j in negative.tolist() if not blk.adds[j])
+    assert len(negative) == 11_026 and adds_nothing == 10_931
+    assert_matches_negative_column_reduction(dec)

@@ -222,3 +222,21 @@ def test_count_cap_bounds(monkeypatch):
     with pytest.raises(ValueError, match="at least 10 simplices > cap 9"):
         build_rips(cloud(pts), cfg, cap=9)
     assert grown == [] and graphs == []  # refused before the distance matrix
+
+
+@pytest.mark.parametrize("max_dim", [1, 2, 3])
+def test_level_values_match_the_blockwise_max(max_dim):
+    # values from running flat gathers equal, bit for bit, the parent's value
+    # raised by the row maxima of the (m, k) block of distances to the new
+    # vertex
+    rng = np.random.default_rng(max_dim)
+    pts = np.vstack([rng.standard_normal((11, 3)), rng.integers(0, 3, size=(4, 3))])
+    levels = rips._rips_levels(pts, RipsConfig(max_dim=max_dim))
+    assert len(levels) == max_dim + 2
+    dist = rips.distance_matrix(pts)
+    for (prev, prev_vals), (simp, vals) in zip(levels, levels[1:]):
+        row = {s: i for i, s in enumerate(map(tuple, prev.tolist()))}
+        parent = np.array([row[s] for s in map(tuple, simp[:, :-1].tolist())])
+        blockwise = np.maximum(prev_vals[parent],
+                               dist[simp[:, :-1], simp[:, -1:]].max(axis=1))
+        assert vals.tobytes() == blockwise.tobytes()

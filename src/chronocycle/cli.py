@@ -359,16 +359,15 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
 def cmd_export(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     dia = read_json(_path(cfg, "diagram.json"))
+    emb = read_json(_path(cfg, "embedding.json"))
+    pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
     with open(_path(cfg, "diagram.csv"), "w", newline="") as fh:
         fh.write("dim,birth,death\n")
         for row in dia["pairs"]:
             death = "" if row["death"] is None else repr(float(row["death"]))
             fh.write(f"{row['dim']},{float(row['birth'])!r},{death}\n")
 
-    emb = read_json(_path(cfg, "embedding.json"))
-    pts = np.asarray(emb["points"], float)
-    labels = np.asarray(emb["labels"], float)
-    centered = pts - pts.mean(axis=0)
+    centered = pc.points - pc.points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:3]
     # deterministic orientation: largest-magnitude loading positive
@@ -381,7 +380,7 @@ def cmd_export(cfg: PipelineConfig) -> int:
         proj = np.hstack([proj, np.zeros((len(proj), 3 - proj.shape[1]))])
     with open(_path(cfg, "pca.csv"), "w", newline="") as fh:
         fh.write("pc1,pc2,pc3,label\n")
-        for row, lab in zip(proj, labels):
+        for row, lab in zip(proj, pc.labels):
             fh.write(
                 f"{float(row[0])!r},{float(row[1])!r},"
                 f"{float(row[2])!r},{float(lab)!r}\n"

@@ -1,10 +1,11 @@
 """Simplicial complexes, filtrations, chains and boundary operators.
 
-A filtration holds its simplices in one form: a sorted int array with a row
-of vertex ids per simplex, padded with -1, validated when it is built.  The
-public face of a simplex is a strictly increasing tuple of vertex ids, read
-off that array one at a time through the ``simplices`` view; there is no
-separate simplex type.
+A filtration holds its simplices in one form: per dimension, a read-only
+int array with a row of vertex ids per simplex, in lexicographic row order,
+validated when it is built.  A simplex is an address into those arrays: its
+dimension and its row.  The public face of a simplex is a strictly
+increasing tuple of vertex ids, read off its row one at a time through the
+``simplices`` view; there is no separate simplex type.
 
 Chains are sparse maps from filtration index to coefficient; the
 coefficient domain is either F2 (persistence reduction) or the reals
@@ -76,25 +77,24 @@ class Chain:
 class SimplexView(Sequence):
     """Read-only sequence of a filtration's simplices as vertex tuples.
 
-    Each access builds the one tuple asked for from the filtration's vertex
-    array, and a slice the list of tuples it covers; no list of all
-    simplices is ever held.  Compares equal to a list or tuple of the same
-    vertex tuples.
+    Simplex g is row ``rows[g]`` of the lexicographic level ``dims[g]``;
+    each access builds the one tuple asked for from that row, and a slice
+    the list of tuples it covers, so no list of all simplices is ever held.
+    Compares equal to a list or tuple of the same vertex tuples.
     """
 
-    __slots__ = ("_verts", "_lens")
+    __slots__ = ("_levels", "_dims", "_rows")
 
-    def __init__(self, verts: np.ndarray, lens: np.ndarray):
-        self._verts = verts
-        self._lens = lens
+    def __init__(self, levels, dims: np.ndarray, rows: np.ndarray):
+        self._levels, self._dims, self._rows = levels, dims, rows
 
     def __len__(self) -> int:
-        return len(self._verts)
+        return len(self._rows)
 
     def __getitem__(self, g):
         if isinstance(g, slice):
             return [self[i] for i in range(*g.indices(len(self)))]
-        return tuple(self._verts[g, : self._lens[g]].tolist())
+        return tuple(self._levels[self._dims.item(g)][self._rows.item(g)].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (SimplexView, list, tuple)):
@@ -153,6 +153,19 @@ def _lex_steps(s: np.ndarray) -> np.ndarray:
     return step
 
 
+def _rank_keys(rank, n: int) -> np.ndarray:
+    """Keys of the rows of vertex ranks 0..n given as columns ``rank``,
+    ascending in lexicographic row order: the ranks read as base-(n+1)
+    digits while that number fits in int64, else the rows as records, which
+    ``searchsorted`` compares field by field."""
+    if (n + 1) ** len(rank) <= np.iinfo(np.int64).max:
+        return np.ravel_multi_index(tuple(rank), (n + 1,) * len(rank))
+    keys = np.empty(len(rank[0]), dtype=[(f"r{c}", np.int64) for c in range(len(rank))])
+    for c, r in enumerate(rank):
+        keys[f"r{c}"] = r
+    return keys
+
+
 def _sorted_levels(levels) -> list[tuple[np.ndarray, np.ndarray]]:
     """Validated (vertex array, values) per vertex count, ascending, each
     with its rows in lexicographic order.
@@ -208,12 +221,13 @@ class Filtration:
     A filtration is built from either ``simplices``, an iterable of
     (vertices, value) pairs in any order, or ``levels``, one (m, k+1) vertex
     array and m values per dimension (the Rips builder's output).  Both are
-    turned into the one form kept: a read-only int array with a row per
-    simplex in filtration order, vertex ids left-aligned and padded with -1.
-    ``simplices`` is a view of it that builds one vertex tuple per access.
-    ``values``, ``dims`` and ``dim_indices(p)`` are read-only as well, so
-    views of them handed out (such as the LP's P) cannot change the
-    filtration.
+    turned into the one form kept: ``levels[p]``, the filtration's own
+    read-only (m, p+1) int64 array of the p-simplices in lexicographic row
+    order, never the caller's array.  Simplex g is row ``rows[g]`` (int32) of
+    ``levels[dims[g]]``; ``simplices`` is a view that builds one vertex tuple
+    per access.  ``values``, ``dims``, ``rows`` and ``dim_indices(p)`` are
+    read-only as well, so views of them handed out (such as the LP's P)
+    cannot change the filtration.
 
     Each dimension's rows are first brought into lexicographic order (Rips
     levels already are, which one pass confirms); one stable sort of the
@@ -252,22 +266,16 @@ class Filtration:
             np.arange(len(levels), dtype=np.int32), counts
         )[order]
         self.max_dim: int = len(levels) - 1
-        verts = np.full((len(values), len(levels)), -1, dtype=np.int64)
-        for p, (s, _) in enumerate(levels):
-            verts[start[p]:start[p + 1], : p + 1] = s
-        verts = np.take(verts, order, axis=0)
-        verts.flags.writeable = False
-        self.simplices = SimplexView(verts, self.dims + 1)
+        self.levels: tuple[np.ndarray, ...] = tuple(_read_only(s) for s, _ in levels)
+        self.rows: np.ndarray = (order - start[self.dims]).astype(np.int32)
+        self.simplices = SimplexView(self.levels, self.dims, self.rows)
         # global indices of the p-simplices, in filtration order, per dimension
         self._by_dim: list[np.ndarray] = [
             np.flatnonzero(self.dims == p) for p in range(self.max_dim + 1)
         ]
-        for a in (self.values, self.dims, *self._by_dim):
+        for a in (self.values, self.dims, self.rows, *self._by_dim):
             a.flags.writeable = False
-        # lexicographic position within its level of each p-simplex, in
-        # filtration order
-        lex = [order[g] - start[p] for p, g in enumerate(self._by_dim)]
-        self._faces = self._face_index(levels, lex)
+        self._faces = self._face_index(levels, [self.rows[g] for g in self._by_dim])
         self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
     @staticmethod
@@ -281,7 +289,8 @@ class Filtration:
         of (n+1)**2 entries over its two ranks, -1 wherever there is no edge;
         and a larger face, or any face past ``_TABLE_MAX_VERTICES`` vertices,
         at the ``searchsorted`` position of its rank key (the ranks read as
-        base-(n+1) digits, which ascend in lexicographic row order).  The
+        base-(n+1) digits, or as records where those overflow int64; either
+        ascends in lexicographic row order).  The
         p-simplices are checked in lexicographic order, so an error names
         the first bad one in that order; each face column is then gathered
         into filtration order.
@@ -313,10 +322,9 @@ class Filtration:
                 elif p == 2 and table:
                     pos = edges[face[0] * (n + 1) + face[1]]
                 else:
-                    face_keys = np.ravel_multi_index(face, (n + 1,) * p)
-                    at = np.searchsorted(keys, face_keys)
-                    at[np.append(keys, -1)[at] != face_keys] = len(keys)
-                    pos = local[at]
+                    face_keys = _rank_keys(face, n)
+                    at = np.minimum(np.searchsorted(keys, face_keys), len(keys) - 1)
+                    pos = np.where(keys[at] == face_keys, local[at], -1)
                 missing = np.flatnonzero(pos < 0)
                 if len(missing):
                     t = tuple(s[missing[0]].tolist())
@@ -333,7 +341,7 @@ class Filtration:
                     )
                 out[:, i] = pos[lex[p]]
             if p + 1 < len(levels):
-                keys = np.ravel_multi_index(tuple(rank), (n + 1,) * (p + 1))
+                keys = _rank_keys(rank, n)
                 if p == 1 and table:
                     edges = np.full((n + 1) ** 2, -1, dtype=np.int32)
                     edges[keys[lex[p]]] = np.arange(len(s))

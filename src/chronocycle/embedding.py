@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,12 @@ class TimeSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or len(self.values) < 2:
             raise ValueError("series needs at least 2 samples")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("series values must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not (math.isfinite(self.t0) and math.isfinite(self.dt)):
+            raise ValueError("t0 and dt must be finite")
 
     @property
     def n(self) -> int:
@@ -90,7 +95,11 @@ class LabeledPointCloud:
             raise ValueError("points must be a 2d array")
         if len(self.points) != len(self.labels):
             raise ValueError("one label per point required")
-        if np.any(np.diff(self.labels) <= 0):
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("points must be finite")
+        if not np.all(np.isfinite(self.labels)):
+            raise ValueError("labels must be finite")
+        if not np.all(np.diff(self.labels) > 0):
             raise ValueError("labels must be strictly increasing")
 
     def __len__(self) -> int:
@@ -254,7 +263,7 @@ def read_series_csv(path) -> TimeSeries:
     v = np.array([r[1] for r in rows])
     steps = np.diff(t)
     dt = float(np.median(steps))
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-6 * abs(dt):
+    if not (dt > 0 and np.max(np.abs(steps - dt)) <= 1e-6 * dt):
         raise ValueError("non-uniform sampling: spacing deviates beyond 1e-6")
     return TimeSeries(t0=float(t[0]), dt=dt, values=v)
 

@@ -42,8 +42,7 @@ class CycleLP:
     Qhat: np.ndarray       # global indices of free (p+1)-simplices
     A: sp.csc_matrix       # signed boundary, rows over P, columns over Qhat
     c0: np.ndarray         # +1 lift of the initial representative over P
-    W: WeightMatrix
-    cost: np.ndarray       # per-variable cost, W's diagonal
+    cost: np.ndarray       # per-variable cost, the weight matrix's diagonal
 
 
 @dataclass
@@ -114,7 +113,7 @@ def build_lp(
     for g, sign in lifted.entries.items():
         c0_vec[pos_in_P[g]] = float(sign)
     return CycleLP(
-        p=p, P=P, Qhat=Qhat, A=A, c0=c0_vec, W=W,
+        p=p, P=P, Qhat=Qhat, A=A, c0=c0_vec,
         cost=np.asarray(W.column_costs, float),
     )
 

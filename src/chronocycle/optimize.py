@@ -106,13 +106,13 @@ def _optimize_pair(
     if b_relaxed < pair.birth - 1e-9 * (1 + abs(pair.birth)):
         raise ValueError("initial representative not alive at relaxed birth")
     P, Qhat = restrict_sets(f, dec, p, b_relaxed)
-    verts = np.array([f.simplices[g] for g in P])
+    verts = f.levels[p][f.rows[P]]
     weights = [weights_for(kind, verts, labels) for kind in kinds]
     bd = boundary_matrix(f, p, REAL)
     lp = build_lp(P, Qhat, pair.initial_rep, weights[0], bd, f)
     out = []
     for kind, W in zip(kinds, weights):
-        sol = solve(replace(lp, W=W, cost=W.column_costs))
+        sol = solve(replace(lp, cost=W.column_costs))
         ints = np.rint(sol.c)
         rounded = None
         if np.max(np.abs(sol.c - ints), initial=0.0) <= ROUND_TOL:

@@ -33,9 +33,10 @@ not.  Most negative columns are already reduced: as in Ripser, a column
 whose youngest face is its own pivot row needs no addition, because that
 row has one owner and no earlier column can claim it.  Their R columns are
 their boundaries, built in one pass; only the rest are reduced one at a
-time.  V is kept as a log of column additions and expanded on demand.  A
-positive column's log is computed when its V column is first needed
-(essential classes, ``check_rv``), by the same column reduction.
+time, each adding only pivot owners to its left.  V is kept as a log of
+column additions and expanded on demand.  A positive column's log is
+computed when its V column is first needed (essential classes,
+``check_rv``), by the same column reduction.
 """
 
 from __future__ import annotations
@@ -72,11 +73,13 @@ class _DimReduction:
     """Reduction state for one boundary block (columns = p-simplices).
 
     ``low`` is the cohomology pairing's owner array: read-only, the pivot row
-    of each column, -1 where its reduced column is zero.  ``r`` and ``adds``
-    have one entry per column.  Positive columns (R = 0) start out sharing
-    one empty ``adds`` entry; their addition log is filled in when their V
-    column is first asked for.  Negative columns that were reduced as they
-    stand share another empty entry, which stays empty.
+    of each column, -1 where its reduced column is zero.  ``pivot_of_row`` is
+    its read-only inverse, filled from it in one assignment: the column that
+    owns each row, -1 where none does.  ``r`` and ``adds`` have one entry per
+    column.  Positive columns (R = 0) start out sharing one empty ``adds``
+    entry; their addition log is filled in when their V column is first
+    asked for.  Negative columns that were reduced as they stand share
+    another empty entry, which stays empty.
     """
 
     __slots__ = (
@@ -96,31 +99,34 @@ class _DimReduction:
         self._as_is: list[int] = []
         self.r: list[int] = [0] * n
         self.adds: list[list[int]] = [self._unreduced] * n
-        self.pivot_of_row: dict[int, int] = {}
         self._v_cache: dict[int, int] = {}
         negative = np.flatnonzero(low >= 0)
+        owned = low[negative]
+        self.pivot_of_row = np.full(len(rows), -1, dtype=np.int64)
+        self.pivot_of_row[owned] = negative
+        self.pivot_of_row.flags.writeable = False
+        # a row with two owners would make the shortcut below wrong
+        twice = owned[self.pivot_of_row[owned] != negative]
+        if len(twice):
+            raise RuntimeError(
+                f"the cohomology pairing gives pivot row {twice[0]} to more "
+                f"than one column"
+            )
         # a column whose youngest face is its own pivot row is reduced as it
         # stands: that row has one owner, so no earlier column claims it
-        ready = faces[negative].max(axis=1) == low[negative]
+        ready = faces[negative].max(axis=1) == owned
         fast, slow = negative[ready], negative[~ready]
-        fast_cols, fast_rows = fast.tolist(), low[fast].tolist()
-        bits = [0] * len(fast_cols)
+        bits = [0] * len(fast)
         for i in range(faces.shape[1]):
             bits = [b | 1 << row for b, row in zip(bits, faces[fast, i].tolist())]
-        for j, b in zip(fast_cols, bits):
+        for j, b in zip(fast.tolist(), bits):
             self.r[j] = b
             self.adds[j] = self._as_is
-        # the others are reduced left to right, each seeing the pivot rows of
-        # the earlier columns only, as in the full reduction, so that a wrong
-        # pairing fails the pivot check below as it would there
-        done = 0
-        for j, cut, lw, face_rows in zip(
-            slow.tolist(), np.searchsorted(fast, slow).tolist(),
-            low[slow].tolist(), faces[slow].tolist(),
-        ):
-            self.pivot_of_row.update(zip(fast_rows[done:cut], fast_cols[done:cut]))
-            done = cut
-            col, added = self._reduce_column(j, face_rows)
+        # the others are reduced left to right, each by the earlier columns
+        # only, as in the full reduction, so that a wrong pairing fails the
+        # pivot check below as it would there
+        for j, lw in zip(slow.tolist(), low[slow].tolist()):
+            col, added = self._reduce_column(j)
             # equal by duality; a difference is a bug in one of the two
             if col.bit_length() - 1 != lw:
                 raise RuntimeError(
@@ -129,29 +135,20 @@ class _DimReduction:
                 )
             self.r[j] = col
             self.adds[j] = added
-            self.pivot_of_row[lw] = j
-        self.pivot_of_row.update(zip(fast_rows[done:], fast_cols[done:]))
-        # a row with two owners would make the shortcut above wrong
-        if len(self.pivot_of_row) < len(negative):
-            owned, count = np.unique(low[negative], return_counts=True)
-            raise RuntimeError(
-                f"the cohomology pairing gives pivot row {owned[count > 1][0]} "
-                f"to more than one column"
-            )
 
-    def _reduce_column(self, j: int, face_rows: list[int]) -> tuple[int, list[int]]:
-        """Left-to-right reduction of boundary column j, whose faces are
-        ``face_rows``; returns R_j and the columns added.  For a positive
-        column the pivots met all belong to earlier columns: each pivot row
-        has one owner, and the full reduction met the same owners when it
-        reduced column j to zero."""
+    def _reduce_column(self, j: int) -> tuple[int, list[int]]:
+        """Left-to-right reduction of boundary column j by the columns before
+        it; returns R_j and the columns added.  For a positive column the
+        pivots met all belong to earlier columns: each pivot row has one
+        owner, and the full reduction met the same owners when it reduced
+        column j to zero."""
         col = 0
-        for i in face_rows:
+        for i in self.faces[j].tolist():
             col |= 1 << i
         added: list[int] = []
         while col:
-            other = self.pivot_of_row.get(col.bit_length() - 1)
-            if other is None:
+            other = int(self.pivot_of_row[col.bit_length() - 1])
+            if not 0 <= other < j:
                 break
             col ^= self.r[other]
             added.append(other)
@@ -167,7 +164,7 @@ class _DimReduction:
         while stack:
             k = stack[-1]
             if self.adds[k] is self._unreduced:
-                self.adds[k] = self._reduce_column(k, self.faces[k].tolist())[1]
+                self.adds[k] = self._reduce_column(k)[1]
             pending = [a for a in self.adds[k] if a not in self._v_cache]
             if pending:
                 stack.extend(pending)

@@ -93,6 +93,60 @@ def test_ph_over_simplex_cap_is_refused_before_building(tmp_path, capsys,
     assert not os.path.exists(os.path.join(out, "diagram.json"))
 
 
+@pytest.mark.parametrize("at", ["dropped", "kept"])
+def test_nan_label_is_a_data_error_before_ph_builds(tmp_path, capsys,
+                                                    monkeypatch, at):
+    out = str(tmp_path)
+    assert run(["synth", "--out-dir", out, "--kind", "noisy_sine",
+                "--n", "64", "--seed", "5"]) == 0
+    assert run(["embed", "--out-dir", out, "--tau-count", "20"]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, "embedding.json")
+    emb = read(path)
+    # index 1 is not among the 10 evenly spaced points ph keeps; index 0 is
+    emb["labels"][1 if at == "dropped" else 0] = float("nan")
+    with open(path, "w") as fh:
+        json.dump(emb, fh)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Rips built on a NaN label")
+
+    monkeypatch.setattr(rips, "_expand", forbidden)
+    assert run(["ph", "--out-dir", out, "--subsample", "10"]) == 2
+    assert "labels must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "diagram.json"))
+
+
+def test_nan_label_is_a_data_error_in_export(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["synth", "--out-dir", out, "--kind", "noisy_sine",
+                "--n", "64", "--seed", "5"]) == 0
+    assert run(["embed", "--out-dir", out, "--tau-count", "20"]) == 0
+    assert run(["ph", "--out-dir", out, "--subsample", "10"]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, "embedding.json")
+    emb = read(path)
+    emb["labels"][1] = float("nan")
+    with open(path, "w") as fh:
+        json.dump(emb, fh)
+    assert run(["export", "--out-dir", out]) == 2
+    assert "labels must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "diagram.csv"))
+    assert not os.path.exists(os.path.join(out, "pca.csv"))
+
+
+def test_nan_in_series_is_a_data_error(tmp_path, capsys):
+    out = str(tmp_path)
+    path = os.path.join(out, "series.csv")
+    with open(path, "w") as fh:
+        fh.write("t,value\n")
+        for i in range(32):
+            fh.write(f"{float(i)!r},{math.nan if i == 7 else math.sin(i)!r}\n")
+    assert run(["embed", "--out-dir", out]) == 2
+    assert "series values must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "embedding.json"))
+
+
 def test_missing_inputs_are_data_errors(tmp_path):
     out = str(tmp_path)
     assert run(["embed", "--out-dir", out]) == 2

@@ -258,6 +258,59 @@ def test_filtration_arrays_are_read_only():
         assert not empty.flags.writeable
 
 
+def test_levels_are_owned_and_read_only():
+    # one int64 array per dimension, already in lexicographic order: the
+    # form a filtration could keep as it is, and must not
+    items = closed_simplex((0, 1, 2, 3))
+    given_levels = [
+        (np.array([s for s, _ in items if len(s) == k], dtype=np.int64),
+         np.array([v for s, v in items if len(s) == k]))
+        for k in range(1, 5)
+    ]
+    f = Filtration(levels=given_levels)
+    before = list(f.simplices)
+    assert [a.shape for a in f.levels] == [(4, 1), (6, 2), (4, 3), (1, 4)]
+    for a in (*f.levels, f.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[-1]
+    assert f.rows.dtype == np.int32
+    # simplex g is row rows[g] of level dims[g]
+    assert [tuple(f.levels[d][r].tolist()) for d, r in zip(f.dims, f.rows)] == before
+    for verts, _ in given_levels:
+        assert not any(np.shares_memory(verts, a) for a in f.levels)
+        verts[...] = 0
+    assert list(f.simplices) == before
+
+
+def wide_filtration(spread):
+    """A 10-simplex with all its faces plus 89 isolated vertices: rank keys
+    of 10 of its 101 vertex ranks do not fit in int64."""
+    items = [(c, 0.0) for k in range(1, 12)
+             for c in itertools.combinations(range(11), k)]
+    items += [((v,), 0.0) for v in range(11, 100)]
+    return spread_ids(items, np.random.default_rng(1)) if spread else items
+
+
+@pytest.mark.parametrize("spread", [False, True])
+def test_wide_filtration_finds_faces_past_int64_keys(spread):
+    items = wide_filtration(spread)
+    for build in (Filtration, rank_key_filtration):
+        f = build(items)
+        assert f.max_dim == 10 and len(f) == 2047 + 89
+        assert_sorted_key_order(f, items)
+    assert_same_filtration(Filtration(items), rank_key_filtration(items))
+
+
+def test_wide_filtration_reports_a_missing_face():
+    items = [s for s in wide_filtration(False) if s[0] != tuple(range(1, 11))]
+    for build in (Filtration, rank_key_filtration):
+        with pytest.raises(ValueError) as err:
+            build(items)
+        assert str(err.value) == (
+            f"face {tuple(range(1, 11))} of {tuple(range(11))} missing from filtration"
+        )
+
+
 def test_simplices_view_slices():
     f = triangle_filtration()
     every = list(f.simplices)

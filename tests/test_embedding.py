@@ -175,6 +175,36 @@ def test_labeled_point_cloud_validation():
         LabeledPointCloud(points=np.zeros(3), labels=np.arange(3.0))
 
 
+@pytest.mark.parametrize("points, labels, message", [
+    ([[0.0], [1.0], [2.0]], [0.0, np.nan, 2.0], "labels must be finite"),
+    ([[0.0], [1.0], [2.0]], [np.nan, 1.0, 2.0], "labels must be finite"),
+    ([[0.0], [1.0], [2.0]], [0.0, 1.0, np.inf], "labels must be finite"),
+    ([[0.0], [np.nan], [2.0]], [0.0, 1.0, 2.0], "points must be finite"),
+    ([[0.0], [1.0], [-np.inf]], [0.0, 1.0, 2.0], "points must be finite"),
+])
+def test_labeled_point_cloud_refuses_non_finite_input(points, labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledPointCloud(points=np.array(points), labels=np.array(labels))
+
+
+def test_time_series_refuses_non_finite_input(tmp_path):
+    for values in ([0.0, np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="series values must be finite"):
+            TimeSeries(t0=0.0, dt=1.0, values=values)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        TimeSeries(t0=0.0, dt=np.nan, values=[1.0, 2.0])
+    for t0, dt in ((np.nan, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="t0 and dt must be finite"):
+            TimeSeries(t0=t0, dt=dt, values=[1.0, 2.0])
+    path = tmp_path / "nan.csv"
+    path.write_text("t,value\n0.0,1.0\n1.0,nan\n2.0,3.0\n")
+    with pytest.raises(ValueError, match="series values must be finite"):
+        read_series_csv(path)
+    path.write_text("t,value\n0.0,1.0\nnan,2.0\n2.0,3.0\n")
+    with pytest.raises(ValueError, match="non-uniform"):
+        read_series_csv(path)
+
+
 def test_subsample_even_spacing():
     pc = LabeledPointCloud(points=np.arange(20.0).reshape(10, 2),
                            labels=np.arange(10.0))

@@ -356,6 +356,31 @@ def test_low_is_the_read_only_pairing():
             blk.low[0] = 0
 
 
+def test_pivot_of_row_is_the_read_only_inverse_of_low():
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=2))
+    for blk in reduce(f).blocks.values():
+        owner = blk.pivot_of_row
+        assert owner.shape == (len(blk.rows),) and owner.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            owner[0] = 0
+        negative = np.flatnonzero(blk.low >= 0)
+        assert owner[blk.low[negative]].tolist() == negative.tolist()
+        owned = np.flatnonzero(owner >= 0)
+        assert blk.low[owner[owned]].tolist() == owned.tolist()
+
+
+def test_reducing_a_column_again_gives_its_r_and_log():
+    # the reduction adds only earlier owners: a column's own pivot row is
+    # where it stops, also once its R column is stored
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=2))
+    checked = 0
+    for blk in reduce(f).blocks.values():
+        for j in np.flatnonzero(blk.low >= 0).tolist():
+            assert blk._reduce_column(j) == (blk.r[j], blk.adds[j])
+            checked += bool(blk.adds[j])
+    assert checked
+
+
 @pytest.mark.parametrize("corrupt", ["move", "add", "drop", "twice"])
 def test_corrupt_pairing_fails_the_pivot_check(corrupt):
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
@@ -384,8 +409,10 @@ def assert_matches_negative_column_reduction(dec):
         r, adds, pivot_of_row = negative_column_reduction(blk.faces, blk.low)
         assert blk.r == r
         assert blk.adds == adds
-        # the same entries, inserted in the same column order
-        assert list(blk.pivot_of_row.items()) == list(pivot_of_row.items())
+        # the oracle's map as an array: row -> owning column, -1 for none
+        expected = np.full(len(blk.rows), -1)
+        expected[list(pivot_of_row)] = list(pivot_of_row.values())
+        assert blk.pivot_of_row.tolist() == expected.tolist()
 
 
 @settings(max_examples=40, deadline=None)

@@ -84,18 +84,19 @@ class PipelineConfig:
     def validate(self):
         if self.n < 2:
             raise UsageError("n must be at least 2")
-        if self.sigma < 0:
-            raise UsageError("sigma must be non-negative")
-        if not self.t_end > 0:
-            raise UsageError("t_end must be positive")
+        # written so that NaN fails each test
+        if not 0 <= self.sigma < math.inf:
+            raise UsageError("sigma must be finite and non-negative")
+        if not 0 < self.t_end < math.inf:
+            raise UsageError("t_end must be finite and positive")
         if not 0 < self.threshold_fraction <= 1:
             raise UsageError("threshold_fraction must be in (0, 1]")
         if self.tau_count < 1:
             raise UsageError("tau_count must be positive")
         for name in ("tau_min", "tau_max", "tau"):
             v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise UsageError(f"{name} must be positive")
+            if v is not None and not 0 < v < math.inf:
+                raise UsageError(f"{name} must be finite and positive")
         if self.d is not None and self.d < 1:
             raise UsageError("d must be at least 1")
         self.rips_config()
@@ -105,8 +106,8 @@ class PipelineConfig:
             raise UsageError("simplex_cap must be positive")
         if self.kind not in ("noisy_sine", "double_sine"):
             raise UsageError(f"unknown synth kind {self.kind!r}")
-        if self.significance is not None and self.significance < 0:
-            raise UsageError("significance must be non-negative")
+        if self.significance is not None and not 0 <= self.significance < math.inf:
+            raise UsageError("significance must be finite and non-negative")
         if not 0 <= self.optimize_dim <= self.max_dim:
             raise UsageError("optimize_dim must lie within [0, max_dim]")
         self.parse_policy()

@@ -13,23 +13,22 @@ coefficient domain is either F2 (persistence reduction) or the reals
 boundary uses the increasing vertex-id orientation: the face dropping vertex
 position i carries sign (-1)**i.
 
-A filtration sorts no vertices that are already in order.  Each dimension's
-rows are brought into lexicographic order; the Rips builder's levels already
-are, which one pass over consecutive rows confirms, and equal rows, the
-duplicates, are then adjacent.  One stable sort of the values, over the
+A filtration sorts, deduplicates and finds faces by one rank key per
+simplex: its vertices' ranks among the 0-simplices (for Rips, the ids
+themselves) read as one base-n number, or as a record where that would not
+fit in int64; keys ascend in lexicographic row order.  A dimension whose
+keys strictly increase, as every Rips level's do, is in order and has no
+duplicates; any other is sorted by one stable sort of its keys, after which
+duplicates are adjacent.  One stable sort of the values, over the
 dimensions concatenated in ascending order, then gives the (value,
 dimension, lexicographic) filtration order.
 
-A filtration finds every face of every simplex once, when it is built: per
-dimension, an int32 array gives each p-simplex's faces as local indices
-into the (p-1)-simplices, in vertex-deletion order.  Faces are addressed by
-their vertices' ranks among the 0-simplices, which for Rips are the ids
-themselves: a vertex by its rank, an edge through a dense table over pairs
-of ranks, and a larger face, or any face among more than
-``_TABLE_MAX_VERTICES`` vertices, by ``searchsorted`` over rank keys.  This
-face index is the only face lookup: the closure check runs on it, boundary
-matrices, chain boundaries, orientation and the persistence reduction are
-built from it, and each boundary matrix is built once and cached.
+The face index is built once: per dimension, an int32 array gives each
+p-simplex's faces as local indices into the (p-1)-simplices, in
+vertex-deletion order, each read at its key among the keys below.  It is
+the only face lookup: the closure check runs on it, boundary matrices,
+chain boundaries, orientation and the persistence reduction are built from
+it, and each boundary matrix is built once and cached.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ import scipy.sparse as sp
 F2 = "f2"
 REAL = "real"
 
-# most vertices for which a filtration finds triangle faces in a dense edge
-# table: (n+1)**2 int32 entries, 16 MB at the bound
-_TABLE_MAX_VERTICES = 2048
+# largest key space n**p for which a filtration finds faces among its
+# (p-1)-simplices in a dense table: int32 entries, 16 MB at the bound
+_TABLE_MAX_ENTRIES = 2**22
 
 
 @dataclass
@@ -143,37 +142,51 @@ def _vertex_ids(s) -> np.ndarray:
     return ids
 
 
-def _lex_steps(s: np.ndarray) -> np.ndarray:
-    """Sign of the lexicographic step from each row of s to the next."""
-    a, b = s[:-1], s[1:]
-    step = np.sign(b[:, -1] - a[:, -1])
-    for c in range(s.shape[1] - 2, -1, -1):
-        d = np.sign(b[:, c] - a[:, c])
-        step = np.where(d != 0, d, step)
-    return step
+def _missing_face(t: tuple, i: int) -> ValueError:
+    return ValueError(f"face {t[:i] + t[i + 1:]} of {t} missing from filtration")
+
+
+def _ranks(s: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rank of each vertex of s among the sorted 0-simplex ids: s itself
+    where the ids are 0..n-1, else its ``searchsorted`` position.  A vertex
+    that is not a 0-simplex raises, naming the first face that holds it."""
+    n = len(ids)
+    if ids[-1] == n - 1:  # an id is its rank
+        if s[:, -1].max() < n:  # rows increase: the last column is the largest
+            return s
+        bad = s >= n
+    else:
+        rank = np.searchsorted(ids, s)
+        bad = ids[np.minimum(rank, n - 1)] != s
+        if not bad.any():
+            return rank
+    for i in range(s.shape[1]):
+        rows = np.flatnonzero(np.delete(bad, i, axis=1).any(axis=1))
+        if len(rows):
+            raise _missing_face(min(map(tuple, s[rows].tolist())), i)
 
 
 def _rank_keys(rank, n: int) -> np.ndarray:
-    """Keys of the rows of vertex ranks 0..n given as columns ``rank``,
-    ascending in lexicographic row order: the ranks read as base-(n+1)
-    digits while that number fits in int64, else the rows as records, which
-    ``searchsorted`` compares field by field."""
-    if (n + 1) ** len(rank) <= np.iinfo(np.int64).max:
-        return np.ravel_multi_index(tuple(rank), (n + 1,) * len(rank))
+    """One key per row of vertex ranks 0..n-1, given as columns ``rank``,
+    ascending in lexicographic row order: the ranks read as base-n digits
+    while that number fits in int64, else the rows as records, which
+    ``argsort`` and ``searchsorted`` compare field by field."""
+    if n ** len(rank) <= np.iinfo(np.int64).max:
+        keys = rank[0]
+        for r in rank[1:]:
+            keys = keys * n + r
+        return keys
     keys = np.empty(len(rank[0]), dtype=[(f"r{c}", np.int64) for c in range(len(rank))])
     for c, r in enumerate(rank):
         keys[f"r{c}"] = r
     return keys
 
 
-def _sorted_levels(levels) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Validated (vertex array, values) per vertex count, ascending, each
-    with its rows in lexicographic order.
-
-    Rows already in that order, as the Rips builder delivers them, are
-    confirmed by one pass over consecutive rows; other levels are sorted.
-    Equal rows are then adjacent, which is where duplicates are found.
-    """
+def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
+    """Validated (vertices, values, ranks, keys) per dimension, ascending,
+    each with its rows in lexicographic order: as they came where the keys
+    strictly increase, else by one stable ``argsort`` of the keys, after
+    which duplicates are adjacent equal keys."""
     by_width: dict[int, list] = {}
     for s, v in levels:
         s, v = _vertex_ids(s), np.asarray(v, dtype=float)
@@ -186,7 +199,7 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, np.ndarray]]:
     if 0 in by_width:
         raise ValueError("simplex needs at least one vertex")
     out = []
-    for width in sorted(by_width):
+    for p, width in enumerate(sorted(by_width)):
         parts = by_width[width]
         s = np.concatenate([s for s, _ in parts])
         v = np.concatenate([v for _, v in parts])
@@ -199,17 +212,22 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, np.ndarray]]:
             raise ValueError(
                 f"vertices must be strictly increasing, got {tuple(s[bad[0]].tolist())}"
             )
-        steps = _lex_steps(s)
-        if np.any(steps < 0):
-            order = np.lexsort(s.T[::-1])
-            s, v = s[order], v[order]
-            steps = _lex_steps(s)
-        dup = np.flatnonzero(steps == 0)
-        if len(dup):
-            raise ValueError(
-                f"duplicate simplex {tuple(s[dup[0]].tolist())} in filtration"
-            )
-        out.append((s, v))
+        if width != p + 1:  # no (p-1)-simplices below these
+            raise _missing_face(min(map(tuple, s.tolist())), 0)
+        if p == 0:  # a vertex's rank: its position among the distinct ids
+            ids = np.unique(s)
+            n = len(ids)
+        rank = _ranks(s, ids)
+        keys = _rank_keys(rank.T, n)
+        if keys.dtype.names or np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            s, v, rank, keys = s[order], v[order], rank[order], keys[order]
+            dup = np.flatnonzero(keys[1:] == keys[:-1])
+            if len(dup):
+                raise ValueError(
+                    f"duplicate simplex {tuple(s[dup[0]].tolist())} in filtration"
+                )
+        out.append((s, v, rank, keys))
     return out
 
 
@@ -229,11 +247,12 @@ class Filtration:
     read-only as well, so views of them handed out (such as the LP's P)
     cannot change the filtration.
 
-    Each dimension's rows are first brought into lexicographic order (Rips
-    levels already are, which one pass confirms); one stable sort of the
-    values of the dimensions, concatenated in ascending dimension, then
-    gives the (value, dimension, lexicographic) order without a sort on
-    vertices.
+    Each dimension's rows are first brought into lexicographic order by
+    their rank keys (Rips levels already are, which one comparison of
+    consecutive keys confirms); one stable sort of the values of the
+    dimensions, concatenated in ascending dimension, then gives the (value,
+    dimension, lexicographic) order without a sort on vertices.  The same
+    keys find the faces.
 
     Construction validates each simplex (non-empty, strictly increasing,
     non-negative integer ids, no duplicates), closure under faces and value
@@ -253,20 +272,16 @@ class Filtration:
         if levels is None:
             levels = _levels_of_pairs(simplices)
         levels = _sorted_levels(levels)
-        for p, (s, _) in enumerate(levels):
-            if s.shape[1] != p + 1:  # no (p-1)-simplices below these
-                s = tuple(s[0].tolist())
-                raise ValueError(f"face {s[1:]} of {s} missing from filtration")
-        counts = [len(s) for s, _ in levels]
+        counts = [len(s) for s, *_ in levels]
         start = np.cumsum([0] + counts)
-        values = np.concatenate([v for _, v in levels])
+        values = np.concatenate([v for _, v, *_ in levels])
         order = np.argsort(values, kind="stable")
         self.values: np.ndarray = values[order]
         self.dims: np.ndarray = np.repeat(
             np.arange(len(levels), dtype=np.int32), counts
         )[order]
         self.max_dim: int = len(levels) - 1
-        self.levels: tuple[np.ndarray, ...] = tuple(_read_only(s) for s, _ in levels)
+        self.levels: tuple[np.ndarray, ...] = tuple(_read_only(s) for s, *_ in levels)
         self.rows: np.ndarray = (order - start[self.dims]).astype(np.int32)
         self.simplices = SimplexView(self.levels, self.dims, self.rows)
         # global indices of the p-simplices, in filtration order, per dimension
@@ -275,6 +290,7 @@ class Filtration:
         ]
         for a in (self.values, self.dims, self.rows, *self._by_dim):
             a.flags.writeable = False
+        del values, order  # not held through the face index's temporaries
         self._faces = self._face_index(levels, [self.rows[g] for g in self._by_dim])
         self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
@@ -282,55 +298,41 @@ class Filtration:
     def _face_index(levels, lex) -> list[np.ndarray]:
         """Local face indices per dimension, checking closure and values.
 
-        Vertex ids become ranks among the 0-simplices, with rank n for a
-        vertex that is not one; when the ids are 0..n-1 the ranks are the
-        ids.  Each face is read at its local index in the level below, -1
-        where it is missing: a vertex at its rank; an edge from a dense table
-        of (n+1)**2 entries over its two ranks, -1 wherever there is no edge;
-        and a larger face, or any face past ``_TABLE_MAX_VERTICES`` vertices,
-        at the ``searchsorted`` position of its rank key (the ranks read as
-        base-(n+1) digits, or as records where those overflow int64; either
-        ascends in lexicographic row order).  The
+        Each face is read at its rank key among the keys of the level below:
+        through a dense int32 table over all n**p keys while that is at most
+        ``_TABLE_MAX_ENTRIES`` entries, else at its ``searchsorted``
+        position; either reads -1 for a face that is not there.  The
         p-simplices are checked in lexicographic order, so an error names
         the first bad one in that order; each face column is then gathered
         into filtration order.
         """
-        ids = levels[0][0][:, 0]
-        n = len(ids)
-        table = n <= _TABLE_MAX_VERTICES
+        n = len(levels[0][0])
         faces = [_empty_faces(0)]
         for p in range(1, len(levels)):
-            s, value = levels[p]
-            if ids[-1] == n - 1:  # ids 0..n-1: an id is its rank
-                rank = [np.minimum(s[:, c], n) for c in range(p + 1)]
-            else:
-                rank = [np.searchsorted(ids, s[:, c]) for c in range(p + 1)]
-                for c, r in enumerate(rank):
-                    r[np.append(ids, -1)[r] != s[:, c]] = n
-            # local index of each lexicographic (p-1)-simplex, then -1 for a
-            # face that is not there; the (p-1)-values in local order
-            m = len(lex[p - 1])
-            local = np.full(m + 1, -1, dtype=np.int32)
+            s, value, rank, _ = levels[p]
+            _, below, _, keys = levels[p - 1]
+            # local index of each lexicographic (p-1)-simplex, also by key
+            # where the table fits; the (p-1)-values in local order
+            m = len(keys)
+            local = np.empty(m, dtype=np.int32)
             local[lex[p - 1]] = np.arange(m)
-            below = levels[p - 1][1][lex[p - 1]]
+            table = None
+            if n**p <= _TABLE_MAX_ENTRIES:
+                table = np.full(n**p, -1, dtype=np.int32)
+                table[keys] = local
+            below = below[lex[p - 1]]
             limit = value + 1e-12
             out = np.empty(s.shape, dtype=np.int32)
             for i in range(p + 1):
-                face = (*rank[:i], *rank[i + 1:])
-                if p == 1:
-                    pos = local[face[0]]
-                elif p == 2 and table:
-                    pos = edges[face[0] * (n + 1) + face[1]]
+                face_keys = _rank_keys([rank[:, c] for c in range(p + 1) if c != i], n)
+                if table is not None:
+                    pos = table[face_keys]
                 else:
-                    face_keys = _rank_keys(face, n)
-                    at = np.minimum(np.searchsorted(keys, face_keys), len(keys) - 1)
+                    at = np.minimum(np.searchsorted(keys, face_keys), m - 1)
                     pos = np.where(keys[at] == face_keys, local[at], -1)
                 missing = np.flatnonzero(pos < 0)
                 if len(missing):
-                    t = tuple(s[missing[0]].tolist())
-                    raise ValueError(
-                        f"face {t[:i] + t[i + 1:]} of {t} missing from filtration"
-                    )
+                    raise _missing_face(tuple(s[missing[0]].tolist()), i)
                 late = np.flatnonzero(below[pos] > limit)
                 if len(late):
                     j = late[0]
@@ -340,11 +342,6 @@ class Filtration:
                         f"after coface {t} at {value[j]}"
                     )
                 out[:, i] = pos[lex[p]]
-            if p + 1 < len(levels):
-                keys = _rank_keys(rank, n)
-                if p == 1 and table:
-                    edges = np.full((n + 1) ** 2, -1, dtype=np.int32)
-                    edges[keys[lex[p]]] = np.arange(len(s))
             faces.append(_read_only(out))
         return faces
 

@@ -177,6 +177,8 @@ def orthogonality_score(s: SpectrumSupport, d: int, tau: float) -> float:
     exponential matrix; 0 means perfectly orthogonal columns."""
     if not tau > 0:
         raise ValueError("delay must be positive")
+    if d < 1:
+        raise ValueError("embedding dimension must be at least 1")
     M = _omega_matrix(s, d, tau)
     G = np.abs(M.conj().T @ M) / d
     return float(G[_upper_pairs(G.shape[0])].mean())
@@ -204,6 +206,8 @@ def optimal_delay(s: SpectrumSupport, d: int, tau_grid) -> float:
 
 def default_tau_grid(s: SpectrumSupport, count: int = 200) -> np.ndarray:
     """Uniform grid over (0, longest retained period]."""
+    if count < 1:
+        raise ValueError("delay grid needs at least one point")
     period_max = 2 * np.pi / min(s.frequencies)
     return np.linspace(period_max / count, period_max, count)
 

@@ -145,6 +145,8 @@ def optimize_class(
 def significance_threshold(pairs, bound: Optional[float] = None) -> float:
     """User bound, or half the largest finite persistence in the diagram."""
     if bound is not None:
+        if math.isnan(bound):
+            raise ValueError("significance bound must not be NaN")
         return bound
     finite = [pr.persistence for pr in pairs if not pr.essential]
     if not finite:

@@ -169,6 +169,19 @@ def test_usage_errors(tmp_path):
     assert run([]) == 1
 
 
+def test_non_finite_settings_are_usage_errors(tmp_path):
+    out = str(tmp_path)
+    for bad in ("nan", "inf"):
+        assert run(["synth", "--out-dir", out, "--kind", "noisy_sine",
+                    "--sigma", bad]) == 1
+        assert run(["synth", "--out-dir", out, "--t-end", bad]) == 1
+        assert run(["optimize", "--out-dir", out, "--significance", bad]) == 1
+        for delay in ("--tau", "--tau-min", "--tau-max"):
+            assert run(["embed", "--out-dir", out, delay, bad]) == 1
+    assert run(["synth", "--out-dir", out, "--sigma", "-inf"]) == 1
+    assert not os.listdir(out)
+
+
 def test_config_file(tmp_path, capsys):
     out = str(tmp_path)
     conf = tmp_path / "run.conf"

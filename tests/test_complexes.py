@@ -284,7 +284,7 @@ def test_levels_are_owned_and_read_only():
 
 def wide_filtration(spread):
     """A 10-simplex with all its faces plus 89 isolated vertices: rank keys
-    of 10 of its 101 vertex ranks do not fit in int64."""
+    of 10 of its 100 vertex ranks do not fit in int64."""
     items = [(c, 0.0) for k in range(1, 12)
              for c in itertools.combinations(range(11), k)]
     items += [((v,), 0.0) for v in range(11, 100)]
@@ -294,11 +294,19 @@ def wide_filtration(spread):
 @pytest.mark.parametrize("spread", [False, True])
 def test_wide_filtration_finds_faces_past_int64_keys(spread):
     items = wide_filtration(spread)
+    rng = np.random.default_rng(2)
+    shuffled = [items[i] for i in rng.permutation(len(items))]
+    wide_row = next(s for s in shuffled if len(s[0]) == 10)
+    f = Filtration(items)
+    assert f.max_dim == 10 and len(f) == 2047 + 89
+    assert_sorted_key_order(f, items)
     for build in (Filtration, rank_key_filtration):
-        f = build(items)
-        assert f.max_dim == 10 and len(f) == 2047 + 89
-        assert_sorted_key_order(f, items)
-    assert_same_filtration(Filtration(items), rank_key_filtration(items))
+        assert_same_filtration(f, build(items))
+        assert_same_filtration(f, build(shuffled))
+        assert_same_filtration(f, build(levels=shuffled_levels(items, rng)))
+        # record keys are always sorted, so a repeat is found wherever it is
+        with pytest.raises(ValueError, match="duplicate"):
+            build(shuffled[:500] + [wide_row] + shuffled[500:])
 
 
 def test_wide_filtration_reports_a_missing_face():
@@ -348,19 +356,19 @@ def test_levels_match_simplices_input(n, seed):
     assert_same_filtration(f, Filtration([items[i] for i in order]))
 
 
-def spread_ids(items, rng):
+def spread_ids(items, rng, offset=0):
     """The same complex with vertex v renamed to the v-th of n sorted random
-    ids, so the ids are not 0..n-1."""
+    ids from offset on, so the ids are not 0..n-1."""
     n = sum(1 for s, _ in items if len(s) == 1)
-    ids = np.sort(rng.choice(10**6, size=n, replace=False)).tolist()
+    ids = (offset + np.sort(rng.choice(10**6, size=n, replace=False))).tolist()
     return [(tuple(ids[v] for v in s), value) for s, value in items]
 
 
 def rank_key_filtration(*args, **kwargs):
-    """A filtration built with the edge table off: every face of dimension
-    1 and up is found by its rank key."""
+    """A filtration built with the dense face tables off: every face is
+    found by ``searchsorted`` over the rank keys of the level below."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_TABLE_MAX_VERTICES", 0)
+        mp.setattr(complexes, "_TABLE_MAX_ENTRIES", 0)
         return Filtration(*args, **kwargs)
 
 
@@ -381,14 +389,32 @@ def test_edge_table_matches_rank_keys(n, spread, seed):
         assert f.faces(p).dtype == np.int32
 
 
+def addresses(f):
+    """Everything a filtration holds but its vertex ids, as bytes."""
+    faces = [f.faces(p) for p in range(1, f.max_dim + 1)]
+    return [a.tobytes() for a in (f.values, f.dims, f.rows, *faces)]
+
+
 def test_edge_table_matches_rank_keys_on_rips():
+    # Rips levels arrive in order; shuffled levels, simplices= input and ids
+    # past 2**31 must give the same filtration on both lookup paths
     rng = np.random.default_rng(3)
     for max_dim in (1, 2, 3):
         pc = LabeledPointCloud(points=rng.random((12, 2)), labels=np.arange(12.0))
         levels = rips._rips_levels(pc.points, RipsConfig(max_dim=max_dim))
         f = Filtration(levels=levels)
         assert f.max_dim == max_dim + 1
-        assert_same_filtration(f, rank_key_filtration(levels=levels))
+        items = [(tuple(r), x) for s, v in levels for r, x in zip(s.tolist(), v.tolist())]
+        spread = spread_ids(items, rng, offset=2**31)
+        g = Filtration(spread)
+        assert min(s[0] for s in g.simplices) >= 2**31
+        # a monotone renaming of the vertices moves no simplex
+        assert addresses(g) == addresses(f)
+        for build in (Filtration, rank_key_filtration):
+            assert_same_filtration(f, build(levels=levels))
+            for case, ref in ((items, f), (spread, g)):
+                assert_same_filtration(ref, build(levels=shuffled_levels(case, rng)))
+                assert_same_filtration(ref, build([case[i] for i in rng.permutation(len(case))]))
 
 
 @pytest.mark.parametrize("items, message", [
@@ -412,6 +438,14 @@ def test_edge_table_matches_rank_keys_on_rips():
     # a tetrahedron before one of its triangles
     (closed_simplex((0, 1, 2, 3))[:-2] + [((1, 2, 3), 4.0), ((0, 1, 2, 3), 3.0)],
      "face (1, 2, 3) enters at 4.0 after coface (0, 1, 2, 3) at 3.0"),
+    # a vertex that is not a 0-simplex, in input out of order: named in the
+    # first face that holds it, of the first simplex in lexicographic order
+    ([((1,), 0.0), ((0,), 0.0), ((1, 2), 1.0), ((0, 1), 1.0)],
+     "face (2,) of (1, 2) missing from filtration"),
+    ([((6,), 0.0), ((4,), 0.0), ((4, 6), 1.0), ((2, 4), 1.0)],
+     "face (2,) of (2, 4) missing from filtration"),
+    ([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((0, 1, 7), 1.0), ((0, 1, 5), 1.0)],
+     "face (1, 5) of (0, 1, 5) missing from filtration"),
 ])
 def test_face_errors_are_the_same_on_both_paths(items, message):
     for build in (Filtration, rank_key_filtration):

@@ -108,6 +108,12 @@ def test_orthogonality_single_tone_quarter_period():
     assert orthogonality_score(s, 2, 1e-9) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         orthogonality_score(s, 2, 0.0)
+    # no window coordinates: an error, not a NaN score the scan would pick
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            orthogonality_score(s, d, math.pi / 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            optimal_delay(s, d, [0.1, math.pi / 2])
 
 
 def test_optimal_delay_picks_quarter_period():
@@ -134,6 +140,9 @@ def test_default_tau_grid():
     assert grid[-1] == pytest.approx(4 * math.pi)  # longest period
     assert grid[0] == pytest.approx(4 * math.pi / 10)
     assert np.all(grid > 0)
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="at least one"):
+            default_tau_grid(s, count=count)
 
 
 def test_sliding_window_circle():

@@ -146,6 +146,9 @@ def test_significance_threshold():
     assert significance_threshold(pairs, bound=0.3) == 0.3
     assert significance_threshold([dummy_pair(0.0, math.inf)]) == 0.0
     assert significance_threshold([]) == 0.0
+    # a NaN bound would compare false with every persistence
+    with pytest.raises(ValueError, match="NaN"):
+        significance_threshold(pairs, bound=math.nan)
 
 
 def test_significant_pairs_filter_and_order():

@@ -2,7 +2,12 @@
 
 Minimizes cost.x subject to A x = b with the dual revised simplex of HiGHS
 (Huangfu & Hall, "Parallelizing the dual revised simplex method", Math.
-Prog. Comp. 2018), reached through ``scipy.optimize.linprog``.  Every
+Prog. Comp. 2018).  HiGHS is reached through the bindings scipy ships with
+it, ``scipy.optimize._highspy._core``, with exactly the options
+``scipy.optimize.linprog(method="highs-ds")`` passes, so the vertex, the
+objective and the pivots are the ones ``linprog`` returns.  The module is
+private, but ``linprog`` is the only public route to it, and its Python
+wrapper costs about half of each solve of this package's LPs.  Every
 variable is nonnegative except the last ``n_free``, which are free: HiGHS
 prices a free column directly, so a signed variable needs no split into two
 nonnegative ones, and the vertices get no degenerate twins.  Every status
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 
 class SolverStalled(RuntimeError):
@@ -34,20 +38,56 @@ class SimplexResult:
 def revised_simplex(
     cost, A, b, pivot_cap: int = 10**6, n_free: int = 0
 ) -> SimplexResult:
+    """One fresh HiGHS solve.  The bindings (and with them ``scipy.optimize``)
+    are imported on the first call, so a run that solves no LP never loads
+    them; that first call pays the import instead."""
+    from scipy.optimize._highspy import _core as highs
+
     cost = np.asarray(cost, float)
     A = sp.csc_matrix(A)
-    bounds = np.zeros((len(cost), 2))
-    bounds[:, 1] = np.inf
-    bounds[len(cost) - n_free :, 0] = -np.inf
-    res = linprog(
-        cost, A_eq=A, b_eq=np.asarray(b, float), bounds=bounds,
-        method="highs-ds", options={"maxiter": pivot_cap},
-    )
-    if res.status != 0:
-        raise SolverStalled(f"solver stopped: {res.message}")
+    b = np.asarray(b, float)
+    m, n = A.shape
+    # HiGHS answers these with a wrong "optimum", not an error
+    if cost.shape != (n,) or b.shape != (m,):
+        raise ValueError(f"LP shapes disagree: A {A.shape}, cost "
+                         f"{cost.shape}, b {b.shape}")
+    if not all(np.isfinite(v).all() for v in (cost, b, A.data)):
+        raise ValueError("LP data must be finite")
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = cost
+    lower = np.zeros(n)
+    lower[n - n_free :] = -highs.kHighsInf
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = 1    # dual
+    options.simplex_iteration_limit = options.ipm_iteration_limit = pivot_cap
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = 0
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverStalled(
+            f"solver stopped: {solver.modelStatusToString(status).lower()}"
+        )
+    solution = solver.getSolution()
+    info = solver.getInfo()
     return SimplexResult(
-        x=res.x,
-        objective=float(res.fun),
-        iterations=int(res.nit),
-        reduced=cost - A.T @ res.eqlin.marginals,
+        x=np.array(solution.col_value),
+        objective=float(info.objective_function_value),
+        iterations=int(info.simplex_iteration_count),
+        reduced=cost - A.T @ np.array(solution.row_dual),
     )

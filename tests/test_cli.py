@@ -7,9 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs
 
 import chronocycle.cli as cli
-import chronocycle.lpsolver as lpsolver
 import chronocycle.rips as rips
 from chronocycle.cli import main
 from chronocycle.lpsolver import SolverStalled
@@ -309,28 +309,24 @@ def test_optimize_solver_stall_is_exit_three(pipeline_dir, monkeypatch):
 
 
 def test_optimize_iteration_limit_is_exit_three(pipeline_dir, monkeypatch):
-    real = lpsolver.linprog
+    class Limited(highs._Highs):
+        def getModelStatus(self):
+            return highs.HighsModelStatus.kIterationLimit
 
-    def limited(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.status, res.message = 1, "Iteration limit reached."
-        return res
-
-    monkeypatch.setattr(lpsolver, "linprog", limited)
+    monkeypatch.setattr(highs, "_Highs", Limited)
     code = main(["optimize", "--out-dir", pipeline_dir, "--subsample", "40"])
     assert code == 3
 
 
 def test_optimize_bad_solution_is_exit_three(pipeline_dir, monkeypatch,
                                              capsys):
-    real = lpsolver.linprog
+    class Off(highs._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            solution.col_value = [0.0] * len(solution.col_value)
+            return solution
 
-    def off(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.x = np.zeros_like(res.x)
-        return res
-
-    monkeypatch.setattr(lpsolver, "linprog", off)
+    monkeypatch.setattr(highs, "_Highs", Off)
     code = main(["optimize", "--out-dir", pipeline_dir, "--subsample", "40"])
     assert code == 3
     assert "residual" in capsys.readouterr().err
@@ -396,6 +392,17 @@ def test_cli_import_leaves_out_scipy_signal():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, chronocycle.cli; sys.exit('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # HiGHS is loaded by the first LP solve, which synth, embed, ph and
+    # export never make
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chronocycle.cli; sys.exit('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

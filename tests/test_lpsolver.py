@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+import chronocycle as cc
+import chronocycle.lp as lp
 from chronocycle.lpsolver import SolverStalled, revised_simplex
 
 
@@ -52,7 +54,7 @@ def test_degenerate_instance_terminates():
 
 def test_pivot_cap_raises():
     cost, A, b = beale_instance()
-    with pytest.raises(SolverStalled):
+    with pytest.raises(SolverStalled, match="iteration limit"):
         revised_simplex(cost, A, b, pivot_cap=1)
 
 
@@ -66,6 +68,16 @@ def test_infeasible():
     A = dense([[1, 0], [0, 1]])
     with pytest.raises(SolverStalled, match="infeasible"):
         revised_simplex(np.zeros(2), A, np.array([-1.0, 2.0]))
+
+
+def test_malformed_lp_is_refused():
+    A = dense([[1, 0], [0, 1]])
+    for cost, b in (([1.0, 1.0, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0]),
+                    ([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(ValueError):
+            revised_simplex(np.array(cost), A, np.array(b))
+    with pytest.raises(ValueError):
+        revised_simplex(np.ones(2), dense([[1, 0], [0, np.inf]]), np.ones(2))
 
 
 def test_deterministic_pivot_sequence():
@@ -150,14 +162,57 @@ def test_free_column_unbounded():
         revised_simplex(cost, A, np.array([1.0]), n_free=1)
 
 
+def assert_same_as_linprog(cost, A, b, n_free):
+    # revised_simplex calls HiGHS through scipy's private bindings with the
+    # options linprog(method="highs-ds") passes: the results must not drift
+    res = revised_simplex(cost, A, b, n_free=n_free)
+    bounds = np.zeros((len(cost), 2))
+    bounds[:, 1] = np.inf
+    bounds[len(cost) - n_free :, 0] = -np.inf
+    ref = linprog(cost, A_eq=A, b_eq=b, bounds=bounds, method="highs-ds")
+    assert ref.status == 0
+    assert np.array_equal(res.x, ref.x)
+    assert res.objective == ref.fun
+    assert res.iterations == ref.nit
+    assert np.array_equal(res.reduced, cost - A.T @ ref.eqlin.marginals)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_no_free_columns_is_the_nonnegative_lp(seed):
     # n_free=0 is the x >= 0 problem exactly: same vertex, same pivots
     cost, A, b = random_instance(seed)
     for cost, A, b in ((cost, dense(A), b), beale_instance()):
-        res = revised_simplex(cost, A, b, n_free=0)
-        ref = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None),
-                      method="highs-ds")
-        assert np.array_equal(res.x, ref.x)
-        assert res.objective == ref.fun
-        assert res.iterations == ref.nit
+        assert_same_as_linprog(cost, A, b, n_free=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_free_columns_are_linprogs_lp(seed):
+    cost, A, b = l1_instance(seed)
+    assert_same_as_linprog(cost, dense(A), b, n_free=3)
+
+
+def test_sine_class_lps_are_linprogs(monkeypatch):
+    # pass 1 and the pass-2 face LP of every kind, on the one H1 class of a
+    # noisy sine (60 points, rho = 0.7)
+    series = cc.noisy_sine(n=200, sigma=0.1, seed=0)
+    sup = cc.spectrum(series)
+    d = cc.embedding_dimension(sup)
+    tau = cc.optimal_delay(sup, d, cc.default_tau_grid(sup))
+    pc = cc.subsample(
+        cc.sliding_window(series, cc.EmbeddingParams(d=d, tau=tau)), 60
+    )
+    f = cc.build_rips(pc, cc.RipsConfig(max_dim=1, max_radius=2.0))
+    dec = cc.reduce(f)
+    calls = []
+
+    def logged(cost, A, b, n_free=0):
+        calls.append((cost, A, b, n_free))
+        return revised_simplex(cost, A, b, n_free=n_free)
+
+    monkeypatch.setattr(lp, "revised_simplex", logged)
+    reps = cc.optimize_all(dec.pairs(1), cc.RelaxationPolicy.fraction(0.7),
+                           ("vertex", "simplex", "length"), f, dec, pc.labels)
+    assert len(reps) == 3 and len(calls) == 6
+    for cost, A, b, n_free in calls:
+        assert n_free > 0
+        assert_same_as_linprog(cost, A, b, n_free)

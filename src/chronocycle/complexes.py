@@ -35,10 +35,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 F2 = "f2"
 REAL = "real"
@@ -392,6 +394,8 @@ def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
     Built once per (p, mode) from the filtration's face index and cached on
     the filtration; the matrix arrays are read-only, so callers share it.
     """
+    import scipy.sparse as sp
+
     if mode not in (F2, REAL):
         raise ValueError(f"unknown field mode {mode!r}")
     cached = f._boundary.get((p, mode))

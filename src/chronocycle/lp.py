@@ -21,14 +21,17 @@ small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import F2, BoundaryMatrix, Chain, Filtration, boundary, orient_chain
 from .lpsolver import SolverStalled, revised_simplex
 from .reduction import ReducedDecomposition
 from .weights import WeightMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RESIDUAL_TOL = 1e-8
 ROUND_TOL = 1e-6
@@ -89,6 +92,8 @@ def build_lp(
     f: Filtration,
 ) -> CycleLP:
     """Assemble the signed constraint system c - A w = c0 over P."""
+    import scipy.sparse as sp
+
     P = np.asarray(P, dtype=int)
     Qhat = np.asarray(Qhat, dtype=int)
     p = c0.dim
@@ -120,6 +125,8 @@ def build_lp(
 
 def _standard_form(lp: CycleLP):
     """[I, -I, -A] over (c+, c-, w), with w the q trailing free columns."""
+    import scipy.sparse as sp
+
     m, q = lp.A.shape
     eye = sp.identity(m, format="csc")
     A_std = sp.hstack([eye, -eye, -lp.A], format="csc")
@@ -210,10 +217,10 @@ def oracle_optimal(P, Qhat, c0: Chain, W: WeightMatrix, bd: BoundaryMatrix,
     col_sel = np.searchsorted(bd.cols, Qhat)
     masks = np.zeros((1, n_words), dtype=np.uint64)
     masks[0] = _pack_column([pos_in_P[g] for g in c0.entries], n_words)
-    Acsc = sp.csc_matrix(bd.matrix)
+    A = bd.matrix
     local_row = {int(r): i for i, r in enumerate(row_sel)}
     for j in col_sel:
-        rows = Acsc.indices[Acsc.indptr[j] : Acsc.indptr[j + 1]]
+        rows = A.indices[A.indptr[j] : A.indptr[j + 1]]
         bits = [local_row[int(r)] for r in rows]
         col = _pack_column(bits, n_words)
         masks = np.vstack([masks, masks ^ col[None, :]])

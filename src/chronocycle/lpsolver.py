@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class SolverStalled(RuntimeError):
@@ -39,8 +38,11 @@ def revised_simplex(
     cost, A, b, pivot_cap: int = 10**6, n_free: int = 0
 ) -> SimplexResult:
     """One fresh HiGHS solve.  The bindings (and with them ``scipy.optimize``)
-    are imported on the first call, so a run that solves no LP never loads
-    them; that first call pays the import instead."""
+    are imported on the first call, as ``scipy.sparse`` is by the first
+    function that builds a sparse matrix: ``import chronocycle`` loads
+    neither, a run that solves no LP never loads the bindings, and the first
+    solve pays their import instead."""
+    import scipy.sparse as sp
     from scipy.optimize._highspy import _core as highs
 
     cost = np.asarray(cost, float)

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import Chain, Filtration
 
@@ -196,6 +195,8 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     that was never reduced (an apparent pair) is added by flipping the bits
     of its own cofacets, so no column is built for it.
     """
+    import scipy.sparse as sp
+
     n_cols, k = faces.shape
     n_rows = len(cleared)
     # CSR of the block, cofacets of each row ascending: scipy's CSC to CSR

@@ -19,6 +19,12 @@ Popcounting the same masks sizes the next level before it is built: with
 a ``cap``, ``build_rips`` counts each level first and raises instead of
 expanding one that would take the total past the cap.
 ``count_rips_simplices`` gives exact counts and never builds the top level.
+
+Distances are numpy's own: the squared differences of the coordinates are
+summed one coordinate at a time, in coordinate order, and the square root
+is taken last.  That is the sum scipy's euclidean ``pdist`` forms, so the
+matrix equals ``squareform(pdist(x))`` bit for bit (a test checks it), and
+building a Rips complex imports no scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .complexes import Filtration
 
@@ -56,8 +61,18 @@ class RipsConfig:
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    return squareform(pdist(pts))
+    """Euclidean distances between the rows of an (n, d) array, (n, n)."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array, not {x.ndim}-d")
+    n = len(x)
+    acc = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for k in range(x.shape[1]):
+        np.subtract(x[:, k, None], x[None, :, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        acc += diff
+    return np.sqrt(acc, out=acc)
 
 
 def _graph(points, cfg: RipsConfig):
@@ -66,6 +81,8 @@ def _graph(points, cfg: RipsConfig):
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty point cloud")
+    if len(pts) == 1:
+        raise ValueError("need at least 2 points")
     dist = distance_matrix(pts)
     up = np.triu(dist <= cfg.radius(dist), 1)
     return dist, up
@@ -162,7 +179,5 @@ def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
 def build_rips(pc, cfg: RipsConfig, cap: Optional[int] = None) -> Filtration:
     """Rips filtration of the cloud; vertices at 0, simplex value = diameter.
     With a cap, raises ``ValueError`` instead of building more simplices."""
-    if len(pc.points) == 1:
-        raise ValueError("need at least 2 points")
     # expanded here, so the work is the Rips builder's and not Filtration's
     return Filtration(levels=_rips_levels(pc.points, cfg, cap))

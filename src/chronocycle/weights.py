@@ -22,9 +22,12 @@ applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 VERTEX = "vertex"
 SIMPLEX = "simplex"
@@ -44,6 +47,8 @@ class WeightMatrix:
 
 
 def _diagonal(kind: str, costs: np.ndarray) -> WeightMatrix:
+    import scipy.sparse as sp
+
     return WeightMatrix(kind=kind, entries=sp.diags(costs, format="csr"),
                         column_costs=costs)
 

@@ -408,6 +408,34 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy is the package's one import-time dependency; scipy.sparse loads
+    # with the first sparse matrix, the HiGHS bindings with the first solve
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chronocycle, chronocycle.cli;"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    out = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from chronocycle.cli import main; d = sys.argv[1];"
+         "assert main(['synth', '--out-dir', d, '--kind', 'noisy_sine',"
+         " '--n', '200', '--seed', '3']) == 0;"
+         "assert main(['embed', '--out-dir', d, '--tau-count', '20']) == 0;"
+         "assert main(['ph', '--out-dir', d, '--subsample', '30']) == 0;"
+         "print([m for m in ('scipy.spatial', 'scipy.optimize')"
+         " if m in sys.modules])", out],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert os.path.exists(os.path.join(out, "diagram.json"))
+
+
 def test_entry_point_subprocess(tmp_path):
     out = str(tmp_path)
     proc = subprocess.run(

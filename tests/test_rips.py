@@ -123,6 +123,10 @@ def test_degenerate_inputs():
         build_rips(cloud([(0.0, 0.0)]), RipsConfig())
     with pytest.raises(ValueError):
         count_rips_simplices(np.zeros((0, 2)), RipsConfig())
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        build_rips(cloud([(0.0, 0.0)]), RipsConfig())
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        count_rips_simplices(np.zeros((1, 2)), RipsConfig())
 
 
 def test_distance_matrix():
@@ -132,6 +136,19 @@ def test_distance_matrix():
     assert d[0, 1] == 5.0
     assert d[1, 0] == 5.0
     assert d[0, 0] == 0.0
+
+
+def test_distance_matrix_matches_pdist():
+    # the same sums in the same order: equal bit for bit, not just close
+    rng = np.random.default_rng(16)
+    for _ in range(120):
+        n, d = int(rng.integers(2, 120)), int(rng.integers(1, 21))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        pts[rng.integers(0, n, size=n // 4)] = pts[0]  # duplicate points
+        assert np.array_equal(distance_matrix(pts), squareform(pdist(pts)))
+    assert distance_matrix(np.zeros((0, 2))).shape == (0, 0)
+    with pytest.raises(ValueError):
+        distance_matrix(np.zeros(3))
 
 
 def test_circle_loop_outlives_twice_its_birth():

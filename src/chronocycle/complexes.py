@@ -19,16 +19,24 @@ themselves) read as one base-n number, or as a record where that would not
 fit in int64; keys ascend in lexicographic row order.  A dimension whose
 keys strictly increase, as every Rips level's do, is in order and has no
 duplicates; any other is sorted by one stable sort of its keys, after which
-duplicates are adjacent.  One stable sort of the values, over the
-dimensions concatenated in ascending order, then gives the (value,
-dimension, lexicographic) filtration order.
+duplicates are adjacent.
+
+The faces are found before the order is known, each at its key among the
+keys below, as lexicographic positions.  They give the order a second key
+per simplex: the dense rank of its value among the filtration's distinct
+values.  A simplex that enters with its youngest face (every Rips simplex
+above dimension 1) takes that face's rank; only the others are ranked by a
+search among their own distinct values.  A stable counting sort of the
+ranks, over the dimensions concatenated in ascending order, then gives the
+(value, dimension, lexicographic) filtration order: an LSD radix sort on
+16-bit digits, one pass while there are at most 65,536 distinct values.
 
 The face index is built once: per dimension, an int32 array gives each
 p-simplex's faces as local indices into the (p-1)-simplices, in
-vertex-deletion order, each read at its key among the keys below.  It is
-the only face lookup: the closure check runs on it, boundary matrices,
-chain boundaries, orientation and the persistence reduction are built from
-it, and each boundary matrix is built once and cached.
+vertex-deletion order, the lexicographic positions mapped into filtration
+order.  It is the only face lookup: the closure check runs on it, boundary
+matrices, chain boundaries, orientation and the persistence reduction are
+built from it, and each boundary matrix is built once and cached.
 """
 
 from __future__ import annotations
@@ -209,7 +217,8 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
             raise ValueError("filtration values must be non-negative")
         if s.min() < 0:
             raise ValueError("vertex ids must be non-negative")
-        if np.any(s[:, 1:] <= s[:, :-1]):
+        # column by column: a 2-D comparison of strided slices is slower
+        if any(np.any(s[:, c + 1] <= s[:, c]) for c in range(width - 1)):
             bad = np.flatnonzero(np.any(s[:, 1:] <= s[:, :-1], axis=1))
             raise ValueError(
                 f"vertices must be strictly increasing, got {tuple(s[bad[0]].tolist())}"
@@ -233,6 +242,93 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
     return out
 
 
+def _lex_faces(levels) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+    """Per dimension p >= 1, the faces of each p-simplex as lexicographic
+    positions among the (p-1)-simplices, one array per deleted vertex
+    position, and the position of its youngest face (one with the largest
+    value) where the simplex enters with that face, else -1.  Raises for a
+    missing face and for a face whose value exceeds its coface's.
+
+    Each face is read at its rank key among the keys of the level below:
+    through a dense int32 table over all n**p keys while that is at most
+    ``_TABLE_MAX_ENTRIES`` entries, else at its ``searchsorted`` position;
+    either reads -1 for a face that is not there.  The p-simplices are
+    checked in lexicographic order, so an error names the first bad one in
+    that order.
+    """
+    n = len(levels[0][0])
+    faces, youngest = [[]], [np.full(n, -1)]
+    for p in range(1, len(levels)):
+        s, value, rank, _ = levels[p]
+        _, below, _, keys = levels[p - 1]
+        m = len(keys)
+        table = None
+        if n**p <= _TABLE_MAX_ENTRIES:
+            table = np.full(n**p, -1, dtype=np.int32)
+            table[keys] = np.arange(m, dtype=np.int32)
+        cols = []
+        for i in range(p + 1):
+            face_keys = _rank_keys([rank[:, c] for c in range(p + 1) if c != i], n)
+            if table is not None:
+                pos = np.take(table, face_keys)
+            else:
+                at = np.minimum(np.searchsorted(keys, face_keys), m - 1)
+                pos = np.where(keys[at] == face_keys, at, -1)
+            missing = np.flatnonzero(pos < 0)
+            if len(missing):
+                raise _missing_face(tuple(s[missing[0]].tolist()), i)
+            face_value = np.take(below, pos)
+            late = np.flatnonzero(face_value > value)
+            if len(late):
+                j = late[0]
+                t = tuple(s[j].tolist())
+                raise ValueError(
+                    f"face {t[:i] + t[i + 1:]} enters at {face_value[j]} "
+                    f"after coface {t} at {value[j]}"
+                )
+            if i == 0:
+                top, young = face_value, pos
+            else:
+                young = np.where(face_value > top, pos, young)
+                np.maximum(top, face_value, out=top)
+            cols.append(pos)
+        faces.append(cols)
+        youngest.append(np.where(value > top, -1, young))
+    return faces, youngest
+
+
+def _value_ranks(levels, youngest) -> np.ndarray:
+    """Dense rank of each simplex's value among the filtration's distinct
+    values, over the dimensions concatenated in ascending order, each in
+    lexicographic order.  A simplex that enters with its youngest face takes
+    that face's rank; the others (the vertices, and any simplex that enters
+    after all its faces) are ranked by ``searchsorted`` among their own
+    distinct values, which are all of the filtration's."""
+    fresh = [np.flatnonzero(y < 0) for y in youngest]
+    distinct = np.unique(np.concatenate([v[f] for (_, v, *_), f in zip(levels, fresh)]))
+    rank = np.empty(sum(map(len, youngest)), dtype=np.intp)
+    start, below = 0, None
+    for (_, v, *_), y, f in zip(levels, youngest, fresh):
+        r = rank[start:start + len(v)]
+        if below is not None:
+            # a fresh simplex's -1 reads a rank that the next line overwrites
+            np.take(below, y, out=r)
+        r[f] = np.searchsorted(distinct, v[f])
+        start, below = start + len(v), r
+    return rank
+
+
+def _counting_order(rank: np.ndarray) -> np.ndarray:
+    """The stable order of non-negative int ranks: an LSD radix sort on
+    16-bit digits, each digit ordered by a stable ``argsort`` of its uint16
+    keys, which numpy does by counting.  Ranks below 2**16 take one pass."""
+    order = np.argsort(rank.astype(np.uint16), kind="stable")
+    for shift in range(16, int(rank.max()).bit_length(), 16):
+        digit = (rank[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 class Filtration:
     """Ordered simplices with filtration values.
 
@@ -251,10 +347,12 @@ class Filtration:
 
     Each dimension's rows are first brought into lexicographic order by
     their rank keys (Rips levels already are, which one comparison of
-    consecutive keys confirms); one stable sort of the values of the
-    dimensions, concatenated in ascending dimension, then gives the (value,
-    dimension, lexicographic) order without a sort on vertices.  The same
-    keys find the faces.
+    consecutive keys confirms), and the same keys find the faces.  Each
+    value is then given its dense rank among the filtration's distinct
+    values, a simplex that enters with its youngest face taking that face's
+    rank, and a stable counting sort of the ranks of the dimensions,
+    concatenated in ascending dimension, gives the (value, dimension,
+    lexicographic) order with no comparison sort of values or vertices.
 
     Construction validates each simplex (non-empty, strictly increasing,
     non-negative integer ids, no duplicates), closure under faces and value
@@ -274,11 +372,12 @@ class Filtration:
         if levels is None:
             levels = _levels_of_pairs(simplices)
         levels = _sorted_levels(levels)
+        lex_faces, youngest = _lex_faces(levels)
+        order = _counting_order(_value_ranks(levels, youngest))
+        del youngest
         counts = [len(s) for s, *_ in levels]
         start = np.cumsum([0] + counts)
-        values = np.concatenate([v for _, v, *_ in levels])
-        order = np.argsort(values, kind="stable")
-        self.values: np.ndarray = values[order]
+        self.values: np.ndarray = np.concatenate([v for _, v, *_ in levels])[order]
         self.dims: np.ndarray = np.repeat(
             np.arange(len(levels), dtype=np.int32), counts
         )[order]
@@ -292,58 +391,22 @@ class Filtration:
         ]
         for a in (self.values, self.dims, self.rows, *self._by_dim):
             a.flags.writeable = False
-        del values, order  # not held through the face index's temporaries
-        self._faces = self._face_index(levels, [self.rows[g] for g in self._by_dim])
+        del levels, order  # not held through the face index's gathers
+        self._faces = self._face_index(lex_faces, [self.rows[g] for g in self._by_dim])
         self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
     @staticmethod
-    def _face_index(levels, lex) -> list[np.ndarray]:
-        """Local face indices per dimension, checking closure and values.
-
-        Each face is read at its rank key among the keys of the level below:
-        through a dense int32 table over all n**p keys while that is at most
-        ``_TABLE_MAX_ENTRIES`` entries, else at its ``searchsorted``
-        position; either reads -1 for a face that is not there.  The
-        p-simplices are checked in lexicographic order, so an error names
-        the first bad one in that order; each face column is then gathered
-        into filtration order.
-        """
-        n = len(levels[0][0])
+    def _face_index(lex_faces, lex) -> list[np.ndarray]:
+        """The face index in filtration order: per dimension, the face
+        columns of lexicographic positions gathered into filtration order,
+        each position mapped to its face's local index."""
         faces = [_empty_faces(0)]
-        for p in range(1, len(levels)):
-            s, value, rank, _ = levels[p]
-            _, below, _, keys = levels[p - 1]
-            # local index of each lexicographic (p-1)-simplex, also by key
-            # where the table fits; the (p-1)-values in local order
-            m = len(keys)
-            local = np.empty(m, dtype=np.int32)
-            local[lex[p - 1]] = np.arange(m)
-            table = None
-            if n**p <= _TABLE_MAX_ENTRIES:
-                table = np.full(n**p, -1, dtype=np.int32)
-                table[keys] = local
-            below = below[lex[p - 1]]
-            limit = value + 1e-12
-            out = np.empty(s.shape, dtype=np.int32)
-            for i in range(p + 1):
-                face_keys = _rank_keys([rank[:, c] for c in range(p + 1) if c != i], n)
-                if table is not None:
-                    pos = table[face_keys]
-                else:
-                    at = np.minimum(np.searchsorted(keys, face_keys), m - 1)
-                    pos = np.where(keys[at] == face_keys, local[at], -1)
-                missing = np.flatnonzero(pos < 0)
-                if len(missing):
-                    raise _missing_face(tuple(s[missing[0]].tolist()), i)
-                late = np.flatnonzero(below[pos] > limit)
-                if len(late):
-                    j = late[0]
-                    t = tuple(s[j].tolist())
-                    raise ValueError(
-                        f"face {t[:i] + t[i + 1:]} enters at {below[pos[j]]} "
-                        f"after coface {t} at {value[j]}"
-                    )
-                out[:, i] = pos[lex[p]]
+        for p in range(1, len(lex)):
+            local = np.empty(len(lex[p - 1]), dtype=np.int32)
+            local[lex[p - 1]] = np.arange(len(local), dtype=np.int32)
+            out = np.empty((len(lex[p]), p + 1), dtype=np.int32)
+            for i, pos in enumerate(lex_faces[p]):
+                out[:, i] = np.take(np.take(local, pos), lex[p])
             faces.append(_read_only(out))
         return faces
 

@@ -115,9 +115,10 @@ class _DimReduction:
         # stands: that row has one owner, so no earlier column claims it
         ready = faces[negative].max(axis=1) == owned
         fast, slow = negative[ready], negative[~ready]
-        bits = [0] * len(fast)
-        for i in range(faces.shape[1]):
-            bits = [b | 1 << row for b, row in zip(bits, faces[fast, i].tolist())]
+        first, *rest = faces[fast].T.tolist()
+        bits = [1 << row for row in first]
+        for col in rest:
+            bits = [b | 1 << row for b, row in zip(bits, col)]
         for j, b in zip(fast.tolist(), bits):
             self.r[j] = b
             self.adds[j] = self._as_is

@@ -121,7 +121,8 @@ def _expand(simp: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         verts.append(v)
     rows = np.concatenate(rows)
     out = np.empty((len(rows), simp.shape[1] + 1), dtype=simp.dtype)
-    np.take(simp, rows, axis=0, out=out[:, :-1])
+    for c in range(simp.shape[1]):  # a row gather into the strided slice is slower
+        np.take(simp[:, c], rows, out=out[:, c])
     np.concatenate(verts, out=out[:, -1])
     return out, rows
 

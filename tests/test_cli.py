@@ -419,6 +419,18 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # the Rips build and the filtration's order are numpy's alone
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy as np, chronocycle as cc;"
+         "pc = cc.LabeledPointCloud(points=np.random.default_rng(0).random((30, 2)),"
+         " labels=np.arange(30.0));"
+         "f = cc.build_rips(pc, cc.RipsConfig(max_dim=2)); assert f.n_simplices(3) > 0;"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
     out = str(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -446,6 +446,11 @@ def test_edge_table_matches_rank_keys_on_rips():
      "face (2,) of (2, 4) missing from filtration"),
     ([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((0, 1, 7), 1.0), ((0, 1, 5), 1.0)],
      "face (1, 5) of (0, 1, 5) missing from filtration"),
+    # a face that enters a hair after its coface is refused, not ordered
+    # after it
+    ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+      ((1, 2), 1 + 5e-13), ((0, 1, 2), 1.0)],
+     "face (1, 2) enters at 1.0000000000005 after coface (0, 1, 2) at 1.0"),
 ])
 def test_face_errors_are_the_same_on_both_paths(items, message):
     for build in (Filtration, rank_key_filtration):
@@ -480,6 +485,80 @@ def assert_sorted_key_order(f, items):
             assert [f.simplices[rows[i]] for i in f.faces(p)[j]] == [
                 s[:i] + s[i + 1 :] for i in range(len(s))
             ]
+
+
+def assert_float_sort_order(f, items):
+    """f's arrays equal the ones a stable float ``argsort`` of the values
+    gives, over the dimensions in ascending order, each in lexicographic
+    order; and each face is the local index of its vertex tuple."""
+    by_dim = {}
+    for s, v in items:
+        by_dim.setdefault(len(s) - 1, []).append((tuple(s), float(v)))
+    lex = [sorted(by_dim[p]) for p in range(len(by_dim))]
+    values = np.array([v for level in lex for _, v in level])
+    dims = np.repeat(np.arange(len(lex), dtype=np.int32), [len(level) for level in lex])
+    rows = np.concatenate([np.arange(len(level), dtype=np.int32) for level in lex])
+    order = np.argsort(values, kind="stable")
+    assert f.values.tobytes() == values[order].tobytes()
+    assert f.dims.tobytes() == dims[order].tobytes()
+    assert f.rows.tobytes() == rows[order].tobytes()
+    for p in range(1, len(lex)):
+        local = {lex[p - 1][r][0]: j for j, r in enumerate(rows[order][dims[order] == p - 1])}
+        expected = [[local[s[:i] + s[i + 1:]] for i in range(p + 1)]
+                    for s in (lex[p][r][0] for r in rows[order][dims[order] == p])]
+        assert f.faces(p).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=3),
+    max_dim=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_rips_order_matches_a_float_sort(n, d, max_dim, seed):
+    # integer coordinates: many distances tie, within and across dimensions
+    points = np.random.default_rng(seed).integers(0, 4, (n, d)).astype(float)
+    levels = rips._rips_levels(points, RipsConfig(max_dim=max_dim))
+    items = [(tuple(r), x) for s, v in levels for r, x in zip(s.tolist(), v.tolist())]
+    assert_float_sort_order(Filtration(levels=levels), items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_simplices_order_matches_a_float_sort(n, seed):
+    # higher simplices enter with their youngest face or at a fresh value
+    rng = np.random.default_rng(seed)
+    items = random_closed_complex(n, rng)
+    shuffled = [items[i] for i in rng.permutation(len(items))]
+    for build in (Filtration, rank_key_filtration):
+        assert_float_sort_order(build(shuffled), items)
+
+
+def test_order_past_65536_distinct_values():
+    # all 79,800 edges on 400 vertices at distinct values, some tied twice,
+    # and triangles entering with an edge or later: the ranks need a second
+    # 16-bit digit
+    rng = np.random.default_rng(5)
+    n = 400
+    edges = np.array(list(itertools.combinations(range(n), 2)))
+    edge_values = rng.permutation(len(edges)) / 7.0
+    edge_values[::9] = edge_values[1::9][: len(edge_values[::9])]
+    vertex_values = np.zeros(n)
+    value = {(v,): x for v, x in enumerate(vertex_values.tolist())}
+    value.update(zip(map(tuple, edges.tolist()), edge_values.tolist()))
+    for s in itertools.combinations(range(12), 3):
+        top = max(value[s[:i] + s[i + 1:]] for i in range(3))
+        value[s] = top + float(rng.integers(0, 2)) * 1e5
+    items = list(value.items())
+    assert len(set(value.values())) > 2**16
+    levels = [(np.arange(n)[:, None], vertex_values), (edges, edge_values),
+              (np.array([s for s in value if len(s) == 3]),
+               [x for s, x in value.items() if len(s) == 3])]
+    assert_float_sort_order(Filtration(levels=levels), items)
 
 
 def test_boundary_squares_to_zero_matrix():

@@ -1,9 +1,10 @@
 """Command-line pipeline: synth -> embed -> ph -> optimize -> export.
 
-Configuration comes from an optional key=value file plus per-flag overrides;
-every numeric field is validated up front so bad configs fail as usage
-errors before any work starts.  Exit codes: 0 ok, 1 usage, 2 data error,
-3 solver error.
+Every setting is a PipelineConfig field, set by a key = value file line or by
+a flag named as the key with dashes (--dim sets optimize_dim); flags win.
+Both are parsed by the field's type and validated up front, so bad settings
+fail as usage errors before any work starts.  Exit codes: 0 ok, 1 usage,
+2 data error, 3 solver error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union, get_args, get_type_hints
@@ -164,20 +166,24 @@ def _convert(key: str, raw: str):
         raise UsageError(f"bad value for {key}: {raw!r}")
 
 
+# an optional key = value, then an optional comment; a value in quotes runs
+# to its closing quote, so a # inside it is part of the value
+_CONFIG_LINE = re.compile(
+    r"""(?:([^=#]*?)\s*=\s*("[^"]*"|'[^']*'|[^#]*?))?\s*(?:#.*)?""")
+
+
 def load_config_file(path) -> dict:
     """TOML-like key = value lines; # comments; quotes optional."""
     out = {}
     try:
         with open(path) as fh:
             for ln, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
+                match = _CONFIG_LINE.fullmatch(line.strip())
+                if match is None:
                     raise UsageError(f"{path}:{ln}: expected key = value")
-                key, _, raw = line.partition("=")
-                key, raw = key.strip(), raw.strip().strip("\"'")
-                out[key] = _convert(key, raw)
+                key, raw = match.groups()
+                if key is not None:
+                    out[key] = _convert(key, raw.strip("\"'"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
     return out
@@ -189,9 +195,9 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         for key, val in load_config_file(args.config).items():
             setattr(cfg, key, val)
     for key in _FIELD_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, _convert(key, val) if isinstance(val, str) else val)
+        raw = getattr(args, key, None)
+        if raw is not None:
+            setattr(cfg, key, _convert(key, raw))
     cfg.validate()
     return cfg
 
@@ -200,26 +206,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 # deterministic file output
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return None
-    return obj
-
-
 def write_json(path, obj):
+    """Sorted, compact JSON, numpy arrays and scalars as lists and numbers;
+    a NaN or infinity raises ValueError before the file opens."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False, default=lambda a: a.tolist())
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):
@@ -241,7 +234,6 @@ def _path(cfg: PipelineConfig, name: str) -> str:
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.kind == "noisy_sine":
         ts = noisy_sine(n=cfg.n, t_end=cfg.t_end, sigma=cfg.sigma, seed=cfg.seed)
     else:
@@ -253,7 +245,6 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_embed(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     src = cfg.input or _path(cfg, "series.csv")
     try:
         ts = read_series_csv(src)
@@ -298,7 +289,6 @@ def _reduced_subsample(cfg: PipelineConfig):
 
 
 def cmd_ph(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _, to_emb, filt, dec = _reduced_subsample(cfg)
     rows = diagram_to_json(full_diagram(dec, cfg.max_dim), filt)
     for row in rows:
@@ -315,7 +305,6 @@ def cmd_ph(cfg: PipelineConfig) -> int:
 
 
 def cmd_optimize(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if not os.path.exists(_path(cfg, "diagram.json")):
         raise DataError("diagram.json not found: run the ph command first")
     cloud, to_emb, filt, dec = _reduced_subsample(cfg)
@@ -358,7 +347,6 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
 
 
 def cmd_export(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     dia = read_json(_path(cfg, "diagram.json"))
     emb = read_json(_path(cfg, "embedding.json"))
     pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
@@ -397,7 +385,7 @@ def cmd_export(cfg: PipelineConfig) -> int:
             raise DataError(f"cannot read series {series_path}: {exc}")
         span = (emb["d"] - 1) * emb["tau"]
         for i, row in enumerate(reps["classes"]):
-            starts = sorted({lab for lab in row["support_labels"]})
+            starts = row["support_labels"]
             path = _path(cfg, f"overlay_{i}.csv")
             with open(path, "w", newline="") as fh:
                 fh.write("t,value,in_support\n")
@@ -414,56 +402,42 @@ def cmd_export(cfg: PipelineConfig) -> int:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--seed", type=int, help="random seed")
-
-
-def _add_rips(sub: argparse.ArgumentParser):
-    sub.add_argument("--max-dim", dest="max_dim", type=int)
-    sub.add_argument("--max-radius", dest="max_radius")
-    sub.add_argument("--subsample", type=int)
-    sub.add_argument("--simplex-cap", dest="simplex_cap", type=int)
+# subcommand -> (help line, the PipelineConfig fields it takes as flags)
+_RIPS = ("max_dim", "max_radius", "subsample", "simplex_cap")
+_SUBCOMMANDS = {
+    "synth": ("generate a synthetic series CSV", ("kind", "n", "t_end", "sigma")),
+    "embed": ("sliding-window embedding of a series",
+              ("input", "threshold_fraction", "tau_count", "tau_min", "tau_max",
+               "d", "tau")),
+    "ph": ("Rips persistence of the embedding", _RIPS),
+    "optimize": ("time-optimal cycle representatives",
+                 (*_RIPS, "policy", "kinds", "significance", "optimize_dim")),
+    "export": ("flatten outputs to CSV plot tables", ("input",)),
+}
+_FLAGS = {"optimize_dim": "--dim"}
+_HELP = {
+    "config": "key = value configuration file",
+    "out_dir": "output directory",
+    "seed": "random seed",
+    "kind": "noisy_sine | double_sine",
+    "input": "series CSV (default out_dir/series.csv)",
+    "d": "override the embedding dimension",
+    "tau": "override the delay",
+    "policy": "full | fraction:RHO | absolute:EPS",
+    "kinds": "comma list: vertex,simplex,length",
+}
 
 
 def make_parser() -> _Parser:
+    """Each subcommand takes --config, --out-dir, --seed and its own fields.
+    Flag values stay strings: build_config parses them as config values."""
     parser = _Parser(prog="chronocycle", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("synth", help="generate a synthetic series CSV")
-    _add_common(p)
-    p.add_argument("--kind", choices=["noisy_sine", "double_sine"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--sigma", type=float)
-
-    p = subs.add_parser("embed", help="sliding-window embedding of a series")
-    _add_common(p)
-    p.add_argument("--input", help="series CSV (default out_dir/series.csv)")
-    p.add_argument("--threshold-fraction", dest="threshold_fraction", type=float)
-    p.add_argument("--tau-count", dest="tau_count", type=int)
-    p.add_argument("--tau-min", dest="tau_min", type=float)
-    p.add_argument("--tau-max", dest="tau_max", type=float)
-    p.add_argument("--d", type=int, help="override the embedding dimension")
-    p.add_argument("--tau", type=float, help="override the delay")
-
-    p = subs.add_parser("ph", help="Rips persistence of the embedding")
-    _add_common(p)
-    _add_rips(p)
-
-    p = subs.add_parser("optimize", help="time-optimal cycle representatives")
-    _add_common(p)
-    _add_rips(p)
-    p.add_argument("--policy", help="full | fraction:RHO | absolute:EPS")
-    p.add_argument("--kinds", help="comma list: vertex,simplex,length")
-    p.add_argument("--significance", type=float)
-    p.add_argument("--dim", dest="optimize_dim", type=int)
-
-    p = subs.add_parser("export", help="flatten outputs to CSV plot tables")
-    _add_common(p)
-    p.add_argument("--input", help="series CSV for overlays")
-
+    for command, (help_line, fields) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        for name in ("config", "out_dir", "seed", *fields):
+            flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+            sub.add_argument(flag, dest=name, help=_HELP.get(name))
     return parser
 
 
@@ -481,6 +455,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# HiGHS's simplex and interior-point iteration limits; past it, SolverStalled
+PIVOT_CAP = 10**6
+
+
 class SolverStalled(RuntimeError):
     """The solver stopped without an optimal solution."""
 
@@ -34,9 +38,7 @@ class SimplexResult:
     reduced: np.ndarray    # reduced costs cost - A^T y at the optimum
 
 
-def revised_simplex(
-    cost, A, b, pivot_cap: int = 10**6, n_free: int = 0
-) -> SimplexResult:
+def revised_simplex(cost, A, b, n_free: int = 0) -> SimplexResult:
     """One fresh HiGHS solve.  The bindings (and with them ``scipy.optimize``)
     are imported on the first call, as ``scipy.sparse`` is by the first
     function that builds a sparse matrix: ``import chronocycle`` loads
@@ -73,7 +75,7 @@ def revised_simplex(
     options.presolve = "on"
     options.solver = "simplex"
     options.simplex_strategy = 1    # dual
-    options.simplex_iteration_limit = options.ipm_iteration_limit = pivot_cap
+    options.simplex_iteration_limit = options.ipm_iteration_limit = PIVOT_CAP
     options.output_flag = options.log_to_console = False
     options.highs_debug_level = 0
     solver = highs._Highs()

@@ -88,7 +88,10 @@ class OptimizedRepresentative:
     dispersion: float
     relaxed_birth: float
     rounded: Optional[Chain]      # F2 rounding, None when rounding failed
-    rounded_is_cycle: bool
+
+    @property
+    def rounded_is_cycle(self) -> bool:
+        return self.rounded is not None
 
 
 def _optimize_pair(
@@ -125,7 +128,6 @@ def _optimize_pair(
         out.append(OptimizedRepresentative(
             pair=pair, policy=policy, loss_kind=kind, solution=sol,
             dispersion=dispersion, relaxed_birth=b_relaxed, rounded=rounded,
-            rounded_is_cycle=rounded is not None,
         ))
     return out
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -221,6 +223,102 @@ def test_config_file(tmp_path, capsys):
     conf.write_text("max_radius = 1.5\n")
     got = cli.load_config_file(conf)
     assert got == {"max_radius": 1.5} and type(got["max_radius"]) is float
+
+
+def test_config_hash_inside_quotes_is_kept(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        '# out_dir = "ignored"\n'
+        'out_dir = "runs/#3"  # the third run\n'
+        "input = 'a # b.csv'\n"
+        "  n = 5   # a comment after a bare value\n"
+    )
+    assert cli.load_config_file(conf) == {
+        "out_dir": "runs/#3", "input": "a # b.csv", "n": 5}
+    # outside quotes a # starts a comment, even inside a value
+    conf.write_text("out_dir = runs/#3\n")
+    assert cli.load_config_file(conf) == {"out_dir": "runs/"}
+
+    out = str(tmp_path / "run#3")
+    conf.write_text(f'out_dir = "{out}"\nn = 32\n')
+    assert run(["synth", "--config", str(conf)]) == 0
+    assert os.path.isfile(os.path.join(out, "series.csv"))
+
+
+_RIPS_FLAGS = {"--max-dim", "--max-radius", "--subsample", "--simplex-cap"}
+FLAGS = {
+    "synth": {"--kind", "--n", "--t-end", "--sigma"},
+    "embed": {"--input", "--threshold-fraction", "--tau-count", "--tau-min",
+              "--tau-max", "--d", "--tau"},
+    "ph": _RIPS_FLAGS,
+    "optimize": _RIPS_FLAGS | {"--policy", "--kinds", "--significance", "--dim"},
+    "export": {"--input"},
+}
+
+
+def _subparsers():
+    parser = cli.make_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_subcommand_flags_are_pinned():
+    subs = _subparsers()
+    assert set(subs) == set(FLAGS)
+    for command, flags in FLAGS.items():
+        got = {opt for a in subs[command]._actions for opt in a.option_strings}
+        assert got == {"-h", "--help", "--config", "--out-dir", "--seed", *flags}
+
+
+def _field(flag):
+    return "optimize_dim" if flag == "--dim" else flag[2:].replace("-", "_")
+
+
+# a valid value, other than the default, for every field a flag sets
+VALUES = {
+    "out_dir": "elsewhere", "seed": "9", "kind": "noisy_sine", "n": "48",
+    "t_end": "7.5", "sigma": "0.25", "input": "s.csv",
+    "threshold_fraction": "0.3", "tau_count": "12", "tau_min": "0.25",
+    "tau_max": "2.5", "d": "3", "tau": "0.5", "max_dim": "2",
+    "max_radius": "1.5", "subsample": "30", "simplex_cap": "1000",
+    "policy": "fraction:0.5", "kinds": "vertex,length", "significance": "0.1",
+    "optimize_dim": "0",
+}
+
+
+def test_flags_and_config_keys_parse_alike(tmp_path):
+    parser = cli.make_parser()
+    conf = tmp_path / "one.conf"
+    fields = set()
+    for command, flags in FLAGS.items():
+        for flag in sorted({"--out-dir", "--seed", *flags}):
+            key = _field(flag)
+            fields.add(key)
+            by_flag = cli.build_config(
+                parser.parse_args([command, flag, VALUES[key]]))
+            conf.write_text(f"{key} = {VALUES[key]}\n")
+            by_file = cli.build_config(
+                parser.parse_args([command, "--config", str(conf)]))
+            assert by_flag == by_file, (command, flag)
+            got = getattr(by_flag, key)
+            assert got != getattr(cli.PipelineConfig(), key)
+            assert type(got) is type(getattr(by_file, key))
+    # every setting has a flag on some subcommand
+    assert fields == {f.name for f in dataclasses.fields(cli.PipelineConfig)}
+
+
+def test_write_json_refuses_non_finite_floats(tmp_path):
+    path = tmp_path / "out.json"
+    cli.write_json(path, {"b": np.float32(0.5), "a": np.arange(3),
+                          "c": (np.int64(2), np.float64(0.25), None)})
+    assert path.read_text() == '{"a":[0,1,2],"b":0.5,"c":[2,0.25,null]}\n'
+    path.unlink()
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"),
+                np.float32("inf"), np.array([1.0, np.inf])):
+        with pytest.raises(ValueError):
+            cli.write_json(path, {"pairs": [{"death": bad}]})
+        assert not path.exists()
 
 
 @pytest.fixture(scope="module")

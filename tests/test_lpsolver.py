@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 
 import chronocycle as cc
 import chronocycle.lp as lp
+import chronocycle.lpsolver as lpsolver
 from chronocycle.lpsolver import SolverStalled, revised_simplex
 
 
@@ -52,10 +53,11 @@ def test_degenerate_instance_terminates():
     assert res.objective == pytest.approx(-0.05)
 
 
-def test_pivot_cap_raises():
+def test_pivot_cap_raises(monkeypatch):
     cost, A, b = beale_instance()
+    monkeypatch.setattr(lpsolver, "PIVOT_CAP", 1)
     with pytest.raises(SolverStalled, match="iteration limit"):
-        revised_simplex(cost, A, b, pivot_cap=1)
+        revised_simplex(cost, A, b)
 
 
 def test_unbounded():

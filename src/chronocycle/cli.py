@@ -463,10 +463,7 @@ def main(argv=None) -> int:
     except SolverStalled as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (DataError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

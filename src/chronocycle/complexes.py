@@ -34,9 +34,10 @@ ranks, over the dimensions concatenated in ascending order, then gives the
 The face index is built once: per dimension, an int32 array gives each
 p-simplex's faces as local indices into the (p-1)-simplices, in
 vertex-deletion order, the lexicographic positions mapped into filtration
-order.  It is the only face lookup: the closure check runs on it, boundary
-matrices, chain boundaries, orientation and the persistence reduction are
-built from it, and each boundary matrix is built once and cached.
+order.  It is the only face lookup and the one boundary representation:
+the closure check, orientation and the persistence reduction read it, and
+each boundary block is built from it, uncached, for the columns at hand
+(all of them, a chain's own simplices, or the cycle LP's free columns).
 """
 
 from __future__ import annotations
@@ -393,7 +394,6 @@ class Filtration:
             a.flags.writeable = False
         del levels, order  # not held through the face index's gathers
         self._faces = self._face_index(lex_faces, [self.rows[g] for g in self._by_dim])
-        self._boundary: dict[tuple[int, str], BoundaryMatrix] = {}
 
     @staticmethod
     def _face_index(lex_faces, lex) -> list[np.ndarray]:
@@ -436,10 +436,11 @@ class Filtration:
 
 @dataclass
 class BoundaryMatrix:
-    """Boundary operator from (p+1)-simplices to p-simplices.
+    """A block of the boundary operator from (p+1)-simplices to p-simplices.
 
-    Rows/columns are indexed locally (position within the dimension's
-    filtration order); ``rows``/``cols`` map local to global indices.  In F2
+    Row i is the p-simplex ``rows[i]`` and column j the (p+1)-simplex
+    ``cols[j]``, both global ids: the rows are all p-simplices in
+    filtration order, the columns those the block was built for.  In F2
     mode all entries are 1; in real mode the face dropping vertex i has
     entry (-1)**i.
     """
@@ -451,23 +452,18 @@ class BoundaryMatrix:
     matrix: sp.csc_matrix
 
 
-def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
-    """Matrix of the boundary operator taking (p+1)-chains to p-chains.
-
-    Built once per (p, mode) from the filtration's face index and cached on
-    the filtration; the matrix arrays are read-only, so callers share it.
-    """
+def _boundary_columns(f: Filtration, p: int, cols, mode: str) -> BoundaryMatrix:
+    """The boundary block of the (p+1)-simplices at local positions ``cols``
+    (an int array or a slice, in the order given) over all p-simplices,
+    read from the face index."""
     import scipy.sparse as sp
 
     if mode not in (F2, REAL):
         raise ValueError(f"unknown field mode {mode!r}")
-    cached = f._boundary.get((p, mode))
-    if cached is not None:
-        return cached
-    rows = f.dim_indices(p)
-    cols = f.dim_indices(p + 1)
-    faces = f.faces(p + 1)
-    k = faces.shape[1]
+    if p < 0:
+        raise ValueError("no boundary below dimension 0")
+    faces = f.faces(p + 1)[cols]
+    n, k = faces.shape
     # canonical CSC: row indices ascending within each column
     by_row = np.argsort(faces, axis=1)
     signs = np.ones(k) if mode == F2 else (-1.0) ** np.arange(k)
@@ -475,30 +471,36 @@ def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
         (
             signs[by_row].ravel(),
             np.take_along_axis(faces, by_row, axis=1).ravel(),
-            np.arange(0, k * len(cols) + 1, k),
+            np.arange(0, k * n + 1, k),
         ),
-        shape=(len(rows), len(cols)),
+        shape=(f.n_simplices(p), n),
     )
-    for a in (m.data, m.indices, m.indptr):
-        a.flags.writeable = False
-    bd = BoundaryMatrix(p=p, mode=mode, rows=rows, cols=cols, matrix=m)
-    f._boundary[(p, mode)] = bd
-    return bd
+    return BoundaryMatrix(
+        p=p, mode=mode, rows=f.dim_indices(p), cols=f.dim_indices(p + 1)[cols], matrix=m
+    )
+
+
+def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
+    """Matrix of the boundary operator taking (p+1)-chains to p-chains: the
+    block of all (p+1)-simplices, built anew from the face index on each
+    call."""
+    return _boundary_columns(f, p, slice(None), mode)
 
 
 def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
-    """Boundary of a chain in the requested field mode: the product of the
-    cached boundary matrix with the chain's coefficient vector."""
+    """Boundary of a chain in the requested field mode: the block of the
+    chain's own simplices times its coefficient vector."""
     if c.dim == 0:
         raise ValueError("no boundary below dimension 0")
-    bd = boundary_matrix(f, c.dim - 1, mode)
     idx = np.fromiter(c.entries, dtype=np.int64, count=len(c.entries))
-    local = np.searchsorted(bd.cols, idx)
-    wrong = np.flatnonzero(np.append(bd.cols, -1)[local] != idx)
+    own = f.dim_indices(c.dim)
+    local = np.searchsorted(own, idx)
+    wrong = np.flatnonzero(np.append(own, -1)[local] != idx)
     if len(wrong):
         g = int(idx[wrong[0]])
         raise ValueError(f"simplex {f.simplices[g]} has dimension {f.dims[g]}, chain {c.dim}")
-    y = bd.matrix[:, local] @ np.fromiter(c.entries.values(), dtype=float, count=len(idx))
+    bd = _boundary_columns(f, c.dim - 1, local, mode)
+    y = bd.matrix @ np.fromiter(c.entries.values(), dtype=float, count=len(idx))
     if mode == F2:
         y = np.rint(y) % 2
     nz = np.flatnonzero(y)

@@ -40,12 +40,10 @@ TIE_TOL = 1e-9     # reduced costs at most this (relative) count as zero
 
 @dataclass
 class CycleLP:
-    p: int
     P: np.ndarray          # global indices of admissible p-simplices
-    Qhat: np.ndarray       # global indices of free (p+1)-simplices
-    A: sp.csc_matrix       # signed boundary, rows over P, columns over Qhat
+    A: sp.csc_matrix       # signed boundary, rows over P, one column per free simplex
     c0: np.ndarray         # +1 lift of the initial representative over P
-    cost: np.ndarray       # per-variable cost, the weight matrix's diagonal
+    cost: np.ndarray       # per-variable cost, the weight matrix's column costs
 
 
 @dataclass
@@ -91,7 +89,8 @@ def build_lp(
     bd: BoundaryMatrix,
     f: Filtration,
 ) -> CycleLP:
-    """Assemble the signed constraint system c - A w = c0 over P."""
+    """Assemble the signed constraint system c - A w = c0 over P, reading A
+    from ``bd``, any boundary block that holds Qhat's columns."""
     import scipy.sparse as sp
 
     P = np.asarray(P, dtype=int)
@@ -117,10 +116,7 @@ def build_lp(
     c0_vec = np.zeros(len(P))
     for g, sign in lifted.entries.items():
         c0_vec[pos_in_P[g]] = float(sign)
-    return CycleLP(
-        p=p, P=P, Qhat=Qhat, A=A, c0=c0_vec,
-        cost=np.asarray(W.column_costs, float),
-    )
+    return CycleLP(P=P, A=A, c0=c0_vec, cost=W.column_costs)
 
 
 def _standard_form(lp: CycleLP):

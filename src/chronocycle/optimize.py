@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import F2, REAL, Chain, Filtration, boundary, boundary_matrix
+from .complexes import F2, REAL, Chain, Filtration, _boundary_columns, boundary
 from .lp import ROUND_TOL, CycleSolution, build_lp, restrict_sets, solve
 from .reduction import PersistencePair, ReducedDecomposition
 from .weights import weights_for, support_dispersion
@@ -111,7 +111,7 @@ def _optimize_pair(
     P, Qhat = restrict_sets(f, dec, p, b_relaxed)
     verts = f.levels[p][f.rows[P]]
     weights = [weights_for(kind, verts, labels) for kind in kinds]
-    bd = boundary_matrix(f, p, REAL)
+    bd = _boundary_columns(f, p, np.searchsorted(f.dim_indices(p + 1), Qhat), REAL)
     lp = build_lp(P, Qhat, pair.initial_rep, weights[0], bd, f)
     out = []
     for kind, W in zip(kinds, weights):

@@ -15,8 +15,8 @@ one's worst time gap to a neighbor.  Summing every neighbor's gap instead
 would drag the optimum toward sparsely connected corners of the complex
 rather than time-coherent ones.
 
-``WeightMatrix.entries`` is the diagonal of the costs, the weighting the LP
-applies.
+A ``WeightMatrix`` stores the costs once, as ``column_costs``; its
+``entries`` is their diagonal matrix, built when read.
 """
 
 from __future__ import annotations
@@ -37,26 +37,27 @@ KINDS = (VERTEX, SIMPLEX, LENGTH)
 
 @dataclass
 class WeightMatrix:
+    """One non-negative cost per simplex of P, of the given kind."""
+
     kind: str
-    entries: sp.csr_matrix
     column_costs: np.ndarray
 
     def __post_init__(self):
-        if (self.entries < 0).nnz:
-            raise ValueError("weight entries must be non-negative")
+        self.column_costs = np.asarray(self.column_costs, dtype=float)
+        if not np.all(self.column_costs >= 0):  # NaN compares false
+            raise ValueError("weight costs must be non-negative, not NaN")
 
+    @property
+    def entries(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
 
-def _diagonal(kind: str, costs: np.ndarray) -> WeightMatrix:
-    import scipy.sparse as sp
-
-    return WeightMatrix(kind=kind, entries=sp.diags(costs, format="csr"),
-                        column_costs=costs)
+        return sp.diags(self.column_costs, format="csr")
 
 
 def vertex_weights(P, labels) -> WeightMatrix:
     """Own-vertex label spread per simplex."""
     L = np.asarray(labels, dtype=float)[np.asarray(P, dtype=np.int64)]
-    return _diagonal(VERTEX, L.max(axis=1) - L.min(axis=1))
+    return WeightMatrix(VERTEX, L.max(axis=1) - L.min(axis=1))
 
 
 def simplex_weights(P, labels) -> WeightMatrix:
@@ -82,12 +83,12 @@ def simplex_weights(P, labels) -> WeightMatrix:
     np.minimum.at(lo, inv.ravel(), np.tile(means, k))
     np.maximum.at(hi, inv.ravel(), np.tile(means, k))
     gaps = np.maximum(means - lo[inv], hi[inv] - means)
-    return _diagonal(SIMPLEX, gaps.max(axis=0))
+    return WeightMatrix(SIMPLEX, gaps.max(axis=0))
 
 
 def length_weights(P) -> WeightMatrix:
     """Unit cost per simplex: the objective counts support simplices."""
-    return _diagonal(LENGTH, np.ones(len(P)))
+    return WeightMatrix(LENGTH, np.ones(len(P)))
 
 
 def weights_for(kind: str, P, labels) -> WeightMatrix:

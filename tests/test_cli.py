@@ -137,6 +137,24 @@ def test_nan_label_is_a_data_error_in_export(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "pca.csv"))
 
 
+@pytest.mark.parametrize("product, key", [("representatives.json", "classes"),
+                                          ("diagram.json", "pairs")])
+def test_wrong_shape_product_is_a_data_error(tmp_path, capsys, product, key):
+    out = str(tmp_path)
+    assert run(["synth", "--out-dir", out, "--kind", "noisy_sine",
+                "--n", "64", "--seed", "5"]) == 0
+    assert run(["embed", "--out-dir", out, "--tau-count", "20"]) == 0
+    assert run(["ph", "--out-dir", out, "--subsample", "10"]) == 0
+    path = os.path.join(out, product)
+    rows = read(path) if os.path.exists(path) else {"schema": 1}
+    rows[key] = 5
+    with open(path, "w") as fh:
+        json.dump(rows, fh)
+    capsys.readouterr()
+    assert run(["export", "--out-dir", out]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_nan_in_series_is_a_data_error(tmp_path, capsys):
     out = str(tmp_path)
     path = os.path.join(out, "series.csv")

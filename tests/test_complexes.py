@@ -228,14 +228,32 @@ def test_boundary_matrix_matches_reference_loop():
                 assert np.array_equal(got.data, ref.data)
 
 
+def test_chain_boundary_builds_only_its_own_columns(monkeypatch):
+    f = bent_cylinder()
+    built, original = [], complexes._boundary_columns
+
+    def recorded(*args):
+        bd = original(*args)
+        built.append(bd.matrix.shape)
+        return bd
+
+    monkeypatch.setattr(complexes, "_boundary_columns", recorded)
+    edges = f.dim_indices(1)[[0, 2, 3]]
+    c = Chain(1, dict.fromkeys(edges.tolist(), 1))
+    for mode in (F2, REAL):
+        assert boundary(c, f, mode).entries == naive_boundary(f, c.entries, mode)
+    assert built == [(f.n_simplices(0), 3)] * 2
+
+
 def test_boundary_matrix_is_cached_read_only():
     f = triangle_filtration()
     bd = boundary_matrix(f, 1, REAL)
-    assert boundary_matrix(f, 1, REAL) is bd
-    assert boundary_matrix(f, 1, F2) is not bd
-    for a in (bd.matrix.data, bd.matrix.indices, bd.matrix.indptr):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0
+    again = boundary_matrix(f, 1, REAL)
+    assert again is not bd
+    assert (again.matrix != bd.matrix).nnz == 0
+    bd.matrix.data[0] = 7.0  # each call's matrix is its own
+    assert again.matrix.data[0] == 1.0
+    assert boundary_matrix(f, 1, REAL).matrix.data[0] == 1.0
     with pytest.raises(ValueError, match="read-only"):
         f.faces(2)[0, 0] = 0
 

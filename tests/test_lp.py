@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import chronocycle as cc
-from chronocycle.complexes import REAL, Chain, Filtration, boundary_matrix
+from chronocycle.complexes import (
+    REAL,
+    Chain,
+    Filtration,
+    _boundary_columns,
+    boundary_matrix,
+)
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.lp import (
     build_lp,
@@ -317,6 +323,36 @@ def test_free_w_matches_split_w_oracle(policy):
             assert_matches_split_w(lp)
             checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("policy", [RelaxationPolicy.full(),
+                                    RelaxationPolicy.fraction(0.7)],
+                         ids=["full", "fraction"])
+def test_free_column_block_builds_the_same_lp(policy):
+    # the boundary block of the free columns alone, as the optimization
+    # builds it, gives the constraint matrix cut from the whole operator
+    checked = free = 0
+    for seed in range(30):
+        f, pc = rips_instance(seed, n=12)
+        dec = reduce(f)
+        whole = boundary_matrix(f, 1, REAL)
+        for pr in dec.pairs(1):
+            if pr.essential:
+                continue
+            P, Qhat = restrict_sets(f, dec, 1, policy.relaxed_birth(pr, f))
+            block = _boundary_columns(
+                f, 1, np.searchsorted(f.dim_indices(2), Qhat), REAL
+            )
+            assert block.cols.tolist() == Qhat.tolist()
+            W = vertex_weights([f.simplices[g] for g in P], pc.labels)
+            got = build_lp(P, Qhat, pr.initial_rep, W, block, f).A
+            want = build_lp(P, Qhat, pr.initial_rep, W, whole, f).A
+            assert got.shape == want.shape
+            for a in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, a), getattr(want, a))
+            checked += 1
+            free += len(Qhat)
+    assert checked >= 20 and free > 0
 
 
 def test_free_w_matches_split_w_on_sine_tie():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +236,29 @@ def test_optimize_all_builds_each_class_once(monkeypatch):
         assert rep.solution.iterations == alone.solution.iterations
         assert rep.rounded == alone.rounded
         assert rep.rounded_is_cycle == alone.rounded_is_cycle
+
+
+@pytest.mark.parametrize("policy", [RelaxationPolicy.full(),
+                                    RelaxationPolicy.fraction(0.7)],
+                         ids=["full", "fraction"])
+def test_optimization_builds_no_whole_boundary_operator(monkeypatch, policy):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole boundary operator built")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "chronocycle" and hasattr(module, "boundary_matrix"):
+            monkeypatch.setattr(module, "boundary_matrix", refuse)
+            patched.append(name)
+    assert "chronocycle.complexes" in patched
+    pc = _sine_cloud()
+    f = cc.build_rips(pc, cc.RipsConfig(max_dim=1, max_radius=1.6))
+    dec = reduce(f)
+    pairs = [pr for pr in dec.pairs(1) if not pr.essential]
+    reps = optimize_all(pairs, policy, KINDS, f, dec, pc.labels,
+                        significance=0.0)
+    assert len(reps) == len(KINDS) * len(pairs) >= 2 * len(KINDS)
+    optimize_class(pairs[0], policy, "vertex", f, dec, pc.labels)
 
 
 def test_optimize_all_h2_class():

@@ -79,9 +79,22 @@ def test_weights_for_dispatch():
 
 
 def test_negative_entries_rejected():
-    m = sp.csr_matrix(np.array([[-1.0]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        WeightMatrix(kind="vertex", column_costs=np.array([1.0, -1.0]))
+
+
+def test_nan_cost_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        WeightMatrix(kind="vertex", column_costs=np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
-        WeightMatrix(kind="vertex", entries=m, column_costs=np.array([1.0]))
+        vertex_weights([(0, 1)], [0.0, np.nan])
+
+
+def test_entries_is_the_diagonal_of_the_costs():
+    W = WeightMatrix(kind="simplex", column_costs=[0.0, 2.5])
+    assert W.column_costs.dtype == float
+    assert W.entries.format == "csr"
+    assert W.entries.toarray().tolist() == [[0.0, 0.0], [0.0, 2.5]]
 
 
 @settings(max_examples=30, deadline=None)

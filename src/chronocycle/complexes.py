@@ -11,7 +11,9 @@ Chains are sparse maps from filtration index to coefficient; the
 coefficient domain is either F2 (persistence reduction) or the reals
 (signed boundary matrices for the cycle optimization LP).  The oriented
 boundary uses the increasing vertex-id orientation: the face dropping vertex
-position i carries sign (-1)**i.
+position i carries sign (-1)**i.  One rule lifts an F2 p-cycle to a real
+one for every p >= 1: the support simplices that share a face pair up in
+filtration order, and each pair is signed to cancel on it.
 
 A filtration sorts, deduplicates and finds faces by one rank key per
 simplex: its vertices' ranks among the 0-simplices (for Rips, the ids
@@ -445,8 +447,6 @@ class BoundaryMatrix:
     entry (-1)**i.
     """
 
-    p: int
-    mode: str
     rows: np.ndarray
     cols: np.ndarray
     matrix: sp.csc_matrix
@@ -475,9 +475,7 @@ def _boundary_columns(f: Filtration, p: int, cols, mode: str) -> BoundaryMatrix:
         ),
         shape=(f.n_simplices(p), n),
     )
-    return BoundaryMatrix(
-        p=p, mode=mode, rows=f.dim_indices(p), cols=f.dim_indices(p + 1)[cols], matrix=m
-    )
+    return BoundaryMatrix(rows=f.dim_indices(p), cols=f.dim_indices(p + 1)[cols], matrix=m)
 
 
 def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
@@ -487,20 +485,30 @@ def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
     return _boundary_columns(f, p, slice(None), mode)
 
 
+def _positions(c: Chain, f: Filtration) -> np.ndarray:
+    """The local positions of the chain's ids among the filtration's
+    c.dim-simplices, in entry order; raises naming the first id that is
+    not one of them."""
+    idx = np.fromiter(c.entries, dtype=np.int64, count=len(c.entries))
+    bad = (idx < 0) | (idx >= len(f))
+    bad[~bad] = f.dims[idx[~bad]] != c.dim
+    if bad.any():
+        g = int(idx[bad.argmax()])
+        if not 0 <= g < len(f):
+            raise ValueError(f"id {g} is outside the filtration of {len(f)} simplices")
+        raise ValueError(
+            f"id {g}: simplex {f.simplices[g]} has dimension {f.dims[g]}, chain {c.dim}"
+        )
+    return np.searchsorted(f.dim_indices(c.dim), idx)
+
+
 def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
     """Boundary of a chain in the requested field mode: the block of the
     chain's own simplices times its coefficient vector."""
     if c.dim == 0:
         raise ValueError("no boundary below dimension 0")
-    idx = np.fromiter(c.entries, dtype=np.int64, count=len(c.entries))
-    own = f.dim_indices(c.dim)
-    local = np.searchsorted(own, idx)
-    wrong = np.flatnonzero(np.append(own, -1)[local] != idx)
-    if len(wrong):
-        g = int(idx[wrong[0]])
-        raise ValueError(f"simplex {f.simplices[g]} has dimension {f.dims[g]}, chain {c.dim}")
-    bd = _boundary_columns(f, c.dim - 1, local, mode)
-    y = bd.matrix @ np.fromiter(c.entries.values(), dtype=float, count=len(idx))
+    bd = _boundary_columns(f, c.dim - 1, _positions(c, f), mode)
+    y = bd.matrix @ np.fromiter(c.entries.values(), dtype=float, count=len(c.entries))
     if mode == F2:
         y = np.rint(y) % 2
     nz = np.flatnonzero(y)
@@ -509,91 +517,63 @@ def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
     return Chain(c.dim - 1, out)
 
 
-def _orient_edges(c: Chain, f: Filtration) -> Chain:
-    # decompose the even-degree support graph into closed walks and assign
-    # +1 to edges traversed low-to-high vertex, -1 otherwise
-    edges = {g: f.simplices[g] for g in c.entries}
-    incident: dict[int, list[int]] = {}
-    for g, (u, v) in sorted(edges.items()):
-        incident.setdefault(u, []).append(g)
-        incident.setdefault(v, []).append(g)
-    unused = set(edges)
-    signs: dict[int, float] = {}
-    for start_g in sorted(edges):
-        if start_g not in unused:
-            continue
-        u0 = edges[start_g][0]
-        cur = u0
-        while True:
-            nxt_g = None
-            for g in incident[cur]:
-                if g in unused:
-                    nxt_g = g
-                    break
-            if nxt_g is None:
-                if cur != u0:
-                    raise ValueError("cannot orient initial cycle")
-                break
-            unused.discard(nxt_g)
-            a, b = edges[nxt_g]
-            other = b if cur == a else a
-            signs[nxt_g] = 1.0 if cur == min(a, b) else -1.0
-            cur = other
-    return Chain(1, signs)
-
-
-def _orient_by_face_pairing(c: Chain, f: Filtration) -> Chain:
-    # propagate signs across shared codimension-1 faces; each internal face
-    # must have exactly two support cofaces (orientable pseudo-manifold)
-    support = sorted(c.entries)
-    faces = f.faces(c.dim)[np.searchsorted(f.dim_indices(c.dim), support)]
-    face_map: dict[int, list[tuple[int, float]]] = {}
-    for g, row in zip(support, faces.tolist()):
-        for i, face in enumerate(row):
-            face_map.setdefault(face, []).append((g, float((-1) ** i)))
-    for face, cofs in face_map.items():
-        if len(cofs) != 2:
-            raise ValueError("cannot orient initial cycle")
-    neighbors: dict[int, list[tuple[int, float]]] = {g: [] for g in support}
-    for (a, ca), (b, cb) in face_map.values():
-        rel = -ca * cb  # sign_b = rel * sign_a zeroes this face
-        neighbors[a].append((b, rel))
-        neighbors[b].append((a, rel))
-    signs: dict[int, float] = {}
-    for root in support:
-        if root in signs:
-            continue
-        signs[root] = 1.0
-        stack = [root]
-        while stack:
-            g = stack.pop()
-            for h, rel in neighbors[g]:
-                want = rel * signs[g]
-                got = signs.get(h)
-                if got is None:
-                    signs[h] = want
-                    stack.append(h)
-                elif got != want:
-                    raise ValueError("cannot orient initial cycle")
-    return Chain(c.dim, signs)
-
-
 def orient_chain(c: Chain, f: Filtration) -> Chain:
     """Lift an F2 cycle to a real cycle with coefficients +-1.
 
-    A naive all-ones lift is generally not a real cycle (oriented face terms
-    do not cancel), which would let the LP wander off the homology class.
-    1-cycles are decomposed into closed walks; higher cycles are oriented by
-    sign propagation over shared faces, which requires the support to be an
-    orientable pseudo-manifold.  Raises when no coherent orientation exists.
+    The all-ones lift is generally not a real cycle (oriented face terms do
+    not cancel), which would let the LP wander off the homology class.  One
+    rule lifts p-cycles for every p >= 1: at each (p-1)-face, the support
+    simplices that hold it are paired in ascending filtration order, first
+    with second, third with fourth, and each pair is signed so that its two
+    terms on that face cancel.  Signs spread along the pairs from the
+    smallest id of each connected piece, which gets +1.  A face held an odd
+    number of times means the chain is not an F2 cycle, and a piece whose
+    pairs ask for both signs of one simplex is not orientable; either
+    raises.  The pairs of a 1-cycle form closed trails, so every F2 1-cycle
+    has a lift.  A 0-chain lifts to all +1.
     """
     if not c:
         raise ValueError("cannot orient zero chain")
+    local = np.sort(_positions(c, f))
     if c.dim == 0:
-        return Chain(0, {g: 1.0 for g in c.entries})
-    out = _orient_edges(c, f) if c.dim == 1 else _orient_by_face_pairing(c, f)
-    if set(out.entries) != set(c.entries):
-        raise ValueError("cannot orient initial cycle")
+        return Chain(0, dict.fromkeys(c.entries, 1.0))
+    k = c.dim + 1
+    held = f.faces(c.dim)[local].ravel()  # entry j*k + i: face i of simplex j
+    faces, counts = np.unique(held, return_counts=True)
+    if np.any(counts % 2):
+        odd = int(np.argmax(counts % 2))
+        face = f.simplices[int(f.dim_indices(c.dim - 1)[faces[odd]])]
+        raise ValueError(
+            f"cannot orient initial cycle: not a cycle, face {face} is held "
+            f"by {counts[odd]} of the chain's simplices"
+        )
+    # a stable sort keeps each face's holders in filtration order
+    by_face = np.argsort(held, kind="stable")
+    first, second = by_face[0::2], by_face[1::2]
+    # face i carries (-1)**i: the pair's terms cancel when the second
+    # simplex's sign is the first's times (-1)**(i + i' + 1)
+    rel = (first % k + second % k) % 2 * 2 - 1
+    pairs: list[list[tuple[int, int]]] = [[] for _ in local]
+    for a, b, r in zip((first // k).tolist(), (second // k).tolist(), rel.tolist()):
+        pairs[a].append((b, r))
+        pairs[b].append((a, r))
+    sign = [0] * len(local)
+    for root in range(len(local)):  # ascending ids: a piece starts at its smallest
+        if sign[root]:
+            continue
+        sign[root], stack = 1, [root]
+        while stack:
+            a = stack.pop()
+            for b, r in pairs[a]:
+                if not sign[b]:
+                    sign[b] = r * sign[a]
+                    stack.append(b)
+                elif sign[b] != r * sign[a]:
+                    raise ValueError(
+                        "cannot orient initial cycle: its support is not orientable"
+                    )
+    ids = f.dim_indices(c.dim)[local].tolist()
+    out = Chain(c.dim, dict(zip(ids, map(float, sign))))
     if boundary(out, f, REAL):
         raise ValueError("cannot orient initial cycle")
     return out

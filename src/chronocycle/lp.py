@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .complexes import F2, BoundaryMatrix, Chain, Filtration, boundary, orient_chain
+from .complexes import BoundaryMatrix, Chain, Filtration, orient_chain
 from .lpsolver import SolverStalled, revised_simplex
 from .reduction import ReducedDecomposition
 from .weights import WeightMatrix
@@ -57,27 +57,21 @@ class CycleSolution:
     iterations: int
 
 
-def _alive_prefix(f: Filtration, dim: int, b: float) -> np.ndarray:
-    idx = f.dim_indices(dim)
-    if len(idx) == 0:
-        return idx
-    cut = np.searchsorted(f.values[idx], b + 1e-9 * (1 + abs(b)), side="right")
-    return idx[:cut]
-
-
 def restrict_sets(
     f: Filtration, dec: ReducedDecomposition, p: int, b: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """P = p-simplices alive at b; Qhat = alive (p+1)-simplices with nonzero
     reduced column (the LP's free directions)."""
-    P = _alive_prefix(f, p, b)
+    # f.values ascend in filtration order: the alive simplices come first
+    cut = np.searchsorted(f.values, b + 1e-9 * (1 + abs(b)), side="right")
+    P = f.dim_indices(p)[: np.searchsorted(f.dim_indices(p), cut)]
     if len(P) == 0:
         raise ValueError("no simplices alive")
     blk = dec.blocks.get(p + 1)
     if blk is None:
         return P, np.array([], dtype=int)
     # a column's low is -1 exactly when its reduced column is zero
-    low = blk.low[: len(_alive_prefix(f, p + 1, b))]
+    low = blk.low[: np.searchsorted(f.dim_indices(p + 1), cut)]
     return P, blk.cols[np.flatnonzero(low >= 0)]
 
 
@@ -90,14 +84,13 @@ def build_lp(
     f: Filtration,
 ) -> CycleLP:
     """Assemble the signed constraint system c - A w = c0 over P, reading A
-    from ``bd``, any boundary block that holds Qhat's columns."""
+    from ``bd``, any boundary block that holds Qhat's columns, and c0 as the
+    real lift ``orient_chain`` gives, which raises unless c0 is a cycle."""
     import scipy.sparse as sp
 
     P = np.asarray(P, dtype=int)
     Qhat = np.asarray(Qhat, dtype=int)
     p = c0.dim
-    if p >= 1 and boundary(c0, f, F2):
-        raise ValueError("initial chain is not a cycle")
     pos_in_P = {int(g): i for i, g in enumerate(P)}
     if any(i not in pos_in_P for i in c0.entries):
         raise ValueError("initial cycle not supported inside P")

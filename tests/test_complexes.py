@@ -688,6 +688,10 @@ def test_orient_figure_eight():
     c = Chain(1, {g: 1 for g in f.dim_indices(1)})
     lifted = orient_chain(c, f)
     assert not boundary(lifted, f, REAL)
+    # vertex 2's edges pair in filtration order, (0, 2) with (1, 2) and
+    # (2, 3) with (2, 4), and each triangle's first edge gets +1
+    signs = {(0, 1): 1, (0, 2): -1, (1, 2): 1, (2, 3): 1, (2, 4): -1, (3, 4): 1}
+    assert lifted.entries == {simplex_index(f)[e]: s for e, s in signs.items()}
 
 
 def test_orient_rejects_non_cycle_path():
@@ -695,7 +699,7 @@ def test_orient_rejects_non_cycle_path():
         [((i,), 0.0) for i in range(3)] + [((0, 1), 1.0), ((1, 2), 1.0)]
     )
     c = Chain(1, {g: 1 for g in f.dim_indices(1)})
-    with pytest.raises(ValueError, match="cannot orient"):
+    with pytest.raises(ValueError, match="cannot orient.*not a cycle"):
         orient_chain(c, f)
 
 
@@ -710,6 +714,56 @@ def test_orient_tetrahedron_boundary():
     lifted = orient_chain(c, f)
     assert set(lifted.entries) == set(c.entries)
     assert not boundary(lifted, f, REAL)
+
+
+def triangles_filtration(tris, value=lambda t: 1.0):
+    """The closure of the triangles: vertices at 0, edges at 1."""
+    edges = sorted({e for t in tris for e in itertools.combinations(t, 2)})
+    verts = sorted({v for t in tris for v in t})
+    return Filtration(
+        [((i,), 0.0) for i in verts] + [(e, 1.0) for e in edges]
+        + [(t, value(t)) for t in tris]
+    )
+
+
+@pytest.mark.parametrize("late", [None, (0, 1, 3)])
+def test_orient_two_tetrahedra_sharing_an_edge(late):
+    # four triangles hold edge (0, 1), which the two tetrahedra's boundary
+    # 2-spheres share; the pairs there join the two spheres' triangles when
+    # (0, 1, 3) enters after (0, 1, 4) and (0, 1, 5)
+    tris = [t for v in [(0, 1, 2, 3), (0, 1, 4, 5)] for t in itertools.combinations(v, 3)]
+    f = triangles_filtration(tris, lambda t: 2.0 if t == late else 1.0)
+    c = Chain(2, {g: 1 for g in f.dim_indices(2)})
+    assert len(c.entries) == 8 and not boundary(c, f, F2)
+    lifted = orient_chain(c, f)
+    assert set(lifted.entries) == set(c.entries)
+    assert all(v in (1.0, -1.0) for v in lifted.entries.values())
+    assert not boundary(lifted, f, REAL)
+
+
+def test_orient_rejects_projective_plane():
+    # the six-vertex projective plane: an F2 2-cycle with no real lift
+    f = triangles_filtration([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                              (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+    c = Chain(2, {g: 1 for g in f.dim_indices(2)})
+    assert not boundary(c, f, F2)
+    with pytest.raises(ValueError, match="cannot orient.*not orientable"):
+        orient_chain(c, f)
+
+
+def test_chain_ids_of_another_dimension_or_outside_are_named():
+    f = square_filtration()  # ids 0-3 vertices, 4-7 edges
+    for c, named in [
+        (Chain(1, {4: 1, 5: 1, 2: 1}), r"id 2\b.*dimension 0"),
+        (Chain(1, {4: 1, 8: 1}), r"id 8 is outside"),
+        (Chain(1, {4: 1, -1: 1}), r"id -1 is outside"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            boundary(c, f)
+        with pytest.raises(ValueError, match=named):
+            orient_chain(c, f)
+    with pytest.raises(ValueError, match=r"id 8 is outside"):
+        orient_chain(Chain(0, {0: 1, 8: 1}), f)
 
 
 def test_orient_rejects_open_surface():

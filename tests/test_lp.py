@@ -270,19 +270,29 @@ def test_oracle_agrees_with_subset_enumeration():
 
 
 def test_restrict_sets_matches_column_loop():
-    # Qhat: the alive (p+1)-simplices whose reduced column R is nonzero, in
-    # filtration order, as a loop over the block's columns finds them
+    # P: the p-simplices alive at b; Qhat: the alive (p+1)-simplices whose
+    # reduced column R is nonzero, in filtration order, as a loop over the
+    # block's columns finds them.  b runs over the values of dimension p,
+    # between two of them, and below and above them all
     for seed in range(6):
         f, _ = rips_instance(seed, n=9)
         dec = reduce(f)
-        blk = dec.blocks[2]
-        for b in np.unique(f.values[f.dim_indices(1)]):
-            P, Qhat = restrict_sets(f, dec, 1, b)
-            alive = int(np.sum(f.values[f.dim_indices(2)] <= b + 1e-9 * (1 + b)))
-            loop = [int(blk.cols[j]) for j in range(alive) if blk.r[j]]
-            assert Qhat.dtype == np.array(loop, dtype=int).dtype
-            assert Qhat.tolist() == loop
-            assert P.tolist() == [g for g in f.dim_indices(1) if f.values[g] <= b]
+        for p in (0, 1):
+            blk = dec.blocks[p + 1]
+            values = np.unique(f.values[f.dim_indices(p)])
+            between = (values[:-1] + values[1:]) / 2
+            for b in [values[0] - 1, *values, *between, values[-1] + 1]:
+                alive_p = [g for g in f.dim_indices(p) if f.values[g] <= b]
+                if not alive_p:
+                    with pytest.raises(ValueError, match="no simplices alive"):
+                        restrict_sets(f, dec, p, b)
+                    continue
+                P, Qhat = restrict_sets(f, dec, p, b)
+                alive = int(np.sum(f.values[f.dim_indices(p + 1)] <= b + 1e-9 * (1 + b)))
+                loop = [int(blk.cols[j]) for j in range(alive) if blk.r[j]]
+                assert Qhat.dtype == np.array(loop, dtype=int).dtype
+                assert Qhat.tolist() == loop
+                assert P.tolist() == alive_p
 
 
 def class_lps(f, dec, labels, pairs, policy,

@@ -524,6 +524,12 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+# scipy subpackages no command needs; scipy.optimize's package import loads
+# the other three
+HEAVY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.linalg",
+               "scipy.special")
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # numpy is the package's one import-time dependency; scipy.sparse loads
     # with the first sparse matrix, the HiGHS bindings with the first solve
@@ -555,13 +561,87 @@ def test_cli_import_loads_no_scipy(tmp_path):
          " '--n', '200', '--seed', '3']) == 0;"
          "assert main(['embed', '--out-dir', d, '--tau-count', '20']) == 0;"
          "assert main(['ph', '--out-dir', d, '--subsample', '30']) == 0;"
-         "print([m for m in ('scipy.spatial', 'scipy.optimize')"
-         " if m in sys.modules])", out],
+         "assert main(['optimize', '--out-dir', d, '--subsample', '30',"
+         " '--kinds', 'vertex,length', '--policy', 'fraction:0.7']) == 0;"
+         f"print([m for m in {HEAVY_SCIPY} if m in sys.modules])", out],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert os.path.exists(os.path.join(out, "diagram.json"))
+    assert os.path.exists(os.path.join(out, "representatives.json"))
+
+
+# A tiny LP: x - w = -1 with w free, optimum x = 0, w = 1
+TINY_LP = ("np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([-1.0]),"
+           " n_free=1")
+
+
+def run_script(script):
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
+def test_first_solve_loads_highs_without_scipy_optimize():
+    # the bindings come from their extension file; a later import of
+    # scipy.optimize reuses that module object, and linprog still solves
+    lines = run_script(f"""
+import sys
+import numpy as np
+from chronocycle.lpsolver import revised_simplex
+print(revised_simplex({TINY_LP}).x)
+print([m for m in {HEAVY_SCIPY} if m in sys.modules])
+core = sys.modules["scipy.optimize._highspy._core"]
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+print(_core is core)
+ref = linprog([1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[-1.0],
+              bounds=[(0, None), (None, None)], method="highs-ds")
+print(ref.status, ref.x)
+print(revised_simplex({TINY_LP}).x)
+""")
+    assert lines == ["[0. 1.]", "[]", "True", "0 [0. 1.]", "[0. 1.]"]
+
+
+def test_solver_uses_the_bindings_scipy_optimize_loaded():
+    # scipy.optimize imported first: lpsolver runs that module's _Highs
+    lines = run_script(f"""
+import numpy as np
+from scipy.optimize._highspy import _core
+from chronocycle.lpsolver import revised_simplex
+runs = []
+class Seen(_core._Highs):
+    def run(self):
+        runs.append(1)
+        return super().run()
+_core._Highs = Seen
+print(revised_simplex({TINY_LP}).x, len(runs))
+""")
+    assert lines == ["[0. 1.] 1"]
+
+
+def test_missing_highs_extension_is_an_import_error():
+    # no file matches: the first solve raises, with no fallback to the
+    # scipy.optimize package import
+    lines = run_script(f"""
+import importlib.machinery, sys
+import numpy as np
+import scipy
+from chronocycle.lpsolver import revised_simplex
+importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+try:
+    revised_simplex({TINY_LP})
+except ImportError as err:
+    print(err)
+print(scipy.__version__)
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+""")
+    message, version, loaded = lines
+    assert os.path.join("scipy", "optimize", "_highspy", "_core") in message
+    assert f"scipy {version}" in message
+    assert loaded == "[]"
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -82,6 +82,14 @@ def test_malformed_lp_is_refused():
         revised_simplex(np.ones(2), dense([[1, 0], [0, np.inf]]), np.ones(2))
 
 
+@pytest.mark.parametrize("n_free", [3, -1])
+def test_n_free_outside_the_columns_is_refused(n_free):
+    # lower[n - n_free:] wraps: 3 would free only the last column, -1 none
+    with pytest.raises(ValueError, match="n_free"):
+        revised_simplex(np.array([1.0, 0.0]), dense([[1.0, -1.0]]),
+                        np.array([-1.0]), n_free=n_free)
+
+
 def test_deterministic_pivot_sequence():
     cost, A, b = beale_instance()
     a = revised_simplex(cost, A, b)

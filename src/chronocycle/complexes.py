@@ -37,9 +37,9 @@ The face index is built once: per dimension, an int32 array gives each
 p-simplex's faces as local indices into the (p-1)-simplices, in
 vertex-deletion order, the lexicographic positions mapped into filtration
 order.  It is the only face lookup and the one boundary representation:
-the closure check, orientation and the persistence reduction read it, and
-each boundary block is built from it, uncached, for the columns at hand
-(all of them, a chain's own simplices, or the cycle LP's free columns).
+the closure check, orientation, a chain's boundary and the persistence
+reduction read it, and each boundary block is built from it, uncached, for
+the columns at hand (all of them, or the cycle LP's free columns).
 """
 
 from __future__ import annotations
@@ -452,24 +452,28 @@ class BoundaryMatrix:
     matrix: sp.csc_matrix
 
 
+def _face_signs(k: int, mode: str) -> np.ndarray:
+    """The coefficients of k faces: 1 in F2 mode, (-1)**i for face i in real mode."""
+    if mode not in (F2, REAL):
+        raise ValueError(f"unknown field mode {mode!r}")
+    return np.ones(k) if mode == F2 else (-1.0) ** np.arange(k)
+
+
 def _boundary_columns(f: Filtration, p: int, cols, mode: str) -> BoundaryMatrix:
     """The boundary block of the (p+1)-simplices at local positions ``cols``
     (an int array or a slice, in the order given) over all p-simplices,
     read from the face index."""
     import scipy.sparse as sp
 
-    if mode not in (F2, REAL):
-        raise ValueError(f"unknown field mode {mode!r}")
     if p < 0:
         raise ValueError("no boundary below dimension 0")
     faces = f.faces(p + 1)[cols]
     n, k = faces.shape
     # canonical CSC: row indices ascending within each column
     by_row = np.argsort(faces, axis=1)
-    signs = np.ones(k) if mode == F2 else (-1.0) ** np.arange(k)
     m = sp.csc_matrix(
         (
-            signs[by_row].ravel(),
+            _face_signs(k, mode)[by_row].ravel(),
             np.take_along_axis(faces, by_row, axis=1).ravel(),
             np.arange(0, k * n + 1, k),
         ),
@@ -503,16 +507,20 @@ def _positions(c: Chain, f: Filtration) -> np.ndarray:
 
 
 def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
-    """Boundary of a chain in the requested field mode: the block of the
-    chain's own simplices times its coefficient vector."""
+    """Boundary of a chain in the requested field mode, built as no matrix:
+    each face's signed terms are summed from the face index in the chain's
+    entry order, as the product of its block of columns with its
+    coefficients sums them, bit for bit."""
     if c.dim == 0:
         raise ValueError("no boundary below dimension 0")
-    bd = _boundary_columns(f, c.dim - 1, _positions(c, f), mode)
-    y = bd.matrix @ np.fromiter(c.entries.values(), dtype=float, count=len(c.entries))
+    faces = f.faces(c.dim)[_positions(c, f)]
+    coef = np.fromiter(c.entries.values(), dtype=float, count=len(c.entries))
+    terms = coef[:, None] * _face_signs(c.dim + 1, mode)
+    y = np.bincount(faces.ravel(), terms.ravel(), minlength=f.n_simplices(c.dim - 1))
     if mode == F2:
         y = np.rint(y) % 2
     nz = np.flatnonzero(y)
-    rows = bd.rows[nz].tolist()
+    rows = f.dim_indices(c.dim - 1)[nz].tolist()
     out = dict.fromkeys(rows, 1) if mode == F2 else dict(zip(rows, y[nz].tolist()))
     return Chain(c.dim - 1, out)
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .complexes import BoundaryMatrix, Chain, Filtration, orient_chain
+from .complexes import BoundaryMatrix, Chain, Filtration, _positions, orient_chain
 from .lpsolver import SolverStalled, revised_simplex
 from .reduction import ReducedDecomposition
 from .weights import WeightMatrix
@@ -40,9 +40,15 @@ TIE_TOL = 1e-9     # reduced costs at most this (relative) count as zero
 
 @dataclass
 class CycleLP:
+    """The class at its relaxed birth b', in local positions: row i is P[i],
+    and on the optimization's path P is the alive prefix, the first
+    m = len(P) p-simplices in filtration order.  A's CSC holds each free
+    column's p + 2 face rows, ascending and all below m, with the signs
+    (-1)**i; c0's nonzeros are the lifted initial cycle's rows and signs."""
+
     P: np.ndarray          # global indices of admissible p-simplices
     A: sp.csc_matrix       # signed boundary, rows over P, one column per free simplex
-    c0: np.ndarray         # +1 lift of the initial representative over P
+    c0: np.ndarray         # +-1 lift of the initial representative over P
     cost: np.ndarray       # per-variable cost, the weight matrix's column costs
 
 
@@ -85,30 +91,28 @@ def build_lp(
 ) -> CycleLP:
     """Assemble the signed constraint system c - A w = c0 over P, reading A
     from ``bd``, any boundary block that holds Qhat's columns, and c0 as the
-    real lift ``orient_chain`` gives, which raises unless c0 is a cycle."""
+    real lift ``orient_chain`` gives, which raises unless c0 is a cycle.
+    One table of each p-simplex's row in P, -1 outside it, maps the face
+    rows of Qhat's columns to A's and the lift's local positions to c0's."""
     import scipy.sparse as sp
 
     P = np.asarray(P, dtype=int)
-    Qhat = np.asarray(Qhat, dtype=int)
-    p = c0.dim
-    pos_in_P = {int(g): i for i, g in enumerate(P)}
-    if any(i not in pos_in_P for i in c0.entries):
-        raise ValueError("initial cycle not supported inside P")
+    k = c0.dim + 2  # faces per column
     lifted = orient_chain(c0, f)
-
-    row_sel = np.searchsorted(bd.rows, P)
-    col_sel = np.searchsorted(bd.cols, Qhat)
-    if len(Qhat):
-        A = sp.csc_matrix(bd.matrix[:, col_sel][row_sel, :])
-        # closure: every face of a free simplex must itself be admissible
-        per_col = np.diff(A.indptr)
-        if np.any(per_col != p + 2):
-            raise ValueError("free column has faces outside P")
-    else:
-        A = sp.csc_matrix((len(P), 0))
+    row = np.full(f.n_simplices(c0.dim), -1)
+    row[np.searchsorted(f.dim_indices(c0.dim), P)] = np.arange(len(P))
+    at = np.searchsorted(bd.cols, Qhat)
+    faces = row[bd.matrix.indices.reshape(-1, k)[at]]
+    if np.any(faces < 0):  # closure: every face of a free simplex is admissible
+        raise ValueError("free column has faces outside P")
+    signs = bd.matrix.data.reshape(-1, k)[at]
+    A = sp.csc_matrix((signs.ravel(), faces.ravel(), np.arange(0, faces.size + 1, k)),
+                      shape=(len(P), len(at)))
+    c0_rows = row[_positions(lifted, f)]
+    if np.any(c0_rows < 0):
+        raise ValueError("initial cycle not supported inside P")
     c0_vec = np.zeros(len(P))
-    for g, sign in lifted.entries.items():
-        c0_vec[pos_in_P[g]] = float(sign)
+    c0_vec[c0_rows] = list(lifted.entries.values())
     return CycleLP(P=P, A=A, c0=c0_vec, cost=W.column_costs)
 
 
@@ -149,11 +153,7 @@ def solve(lp: CycleLP) -> CycleSolution:
 
     c = x[:m] - x[m : 2 * m]
     w = x[2 * m :]
-    residual = float(
-        np.max(np.abs(c - lp.c0 - (lp.A @ w if q else 0)))
-        if m
-        else 0.0
-    )
+    residual = float(np.max(np.abs(c - lp.c0 - lp.A @ w), initial=0.0))
     if residual > RESIDUAL_TOL * (1 + float(np.max(np.abs(lp.c0), initial=0))):
         raise SolverStalled(f"solution residual {residual:.3e} out of tolerance")
     local = np.flatnonzero(np.abs(c) > ROUND_TOL)
@@ -173,8 +173,6 @@ def support_cost(cost: np.ndarray, local_indices) -> float:
     """Cost of a support set, summed in sorted-value order so equal multisets
     of weights give bit-identical sums across implementations."""
     idx = np.asarray(sorted(local_indices), dtype=int)
-    if len(idx) == 0:
-        return 0.0
     return float(np.sort(np.asarray(cost, float)[idx]).sum())
 
 
@@ -194,24 +192,18 @@ def oracle_optimal(P, Qhat, c0: Chain, W: WeightMatrix, bd: BoundaryMatrix,
     (recomputed by sorted summation).  Validation tool for small instances.
     """
     P = np.asarray(P, dtype=int)
-    Qhat = np.asarray(Qhat, dtype=int)
-    q = len(Qhat)
-    if q > 20:
+    if len(Qhat) > 20:
         raise ValueError("too many free columns for exhaustive search")
     m = len(P)
     n_words = max(1, (m + 63) >> 6)
-    pos_in_P = {int(g): i for i, g in enumerate(P)}
+    row = np.full(len(bd.rows), -1)  # the row in P of each of bd's rows, or -1
+    row[np.searchsorted(bd.rows, P)] = np.arange(m)
 
-    row_sel = np.searchsorted(bd.rows, P)
-    col_sel = np.searchsorted(bd.cols, Qhat)
     masks = np.zeros((1, n_words), dtype=np.uint64)
-    masks[0] = _pack_column([pos_in_P[g] for g in c0.entries], n_words)
+    masks[0] = _pack_column(row[np.searchsorted(bd.rows, c0.support)], n_words)
     A = bd.matrix
-    local_row = {int(r): i for i, r in enumerate(row_sel)}
-    for j in col_sel:
-        rows = A.indices[A.indptr[j] : A.indptr[j + 1]]
-        bits = [local_row[int(r)] for r in rows]
-        col = _pack_column(bits, n_words)
+    for j in np.searchsorted(bd.cols, Qhat):
+        col = _pack_column(row[A.indices[A.indptr[j] : A.indptr[j + 1]]], n_words)
         masks = np.vstack([masks, masks ^ col[None, :]])
 
     cost = np.zeros(64 * n_words)

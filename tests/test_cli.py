@@ -504,26 +504,6 @@ def test_removed_options_are_gone(pipeline_dir, tmp_path):
         assert main(["synth", "--config", str(conf)]) == 1
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, chronocycle.cli; sys.exit('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_cli_import_leaves_out_scipy_optimize():
-    # HiGHS is loaded by the first LP solve, which synth, embed, ph and
-    # export never make
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, chronocycle.cli; sys.exit('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
 # scipy subpackages no command needs; scipy.optimize's package import loads
 # the other three
 HEAVY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.linalg",

@@ -340,7 +340,8 @@ def test_free_w_matches_split_w_oracle(policy):
                          ids=["full", "fraction"])
 def test_free_column_block_builds_the_same_lp(policy):
     # the boundary block of the free columns alone, as the optimization
-    # builds it, gives the constraint matrix cut from the whole operator
+    # builds it, gives the LP cut from the whole operator: the same
+    # constraint matrix, initial cycle and rows
     checked = free = 0
     for seed in range(30):
         f, pc = rips_instance(seed, n=12)
@@ -355,11 +356,13 @@ def test_free_column_block_builds_the_same_lp(policy):
             )
             assert block.cols.tolist() == Qhat.tolist()
             W = vertex_weights([f.simplices[g] for g in P], pc.labels)
-            got = build_lp(P, Qhat, pr.initial_rep, W, block, f).A
-            want = build_lp(P, Qhat, pr.initial_rep, W, whole, f).A
-            assert got.shape == want.shape
+            got = build_lp(P, Qhat, pr.initial_rep, W, block, f)
+            want = build_lp(P, Qhat, pr.initial_rep, W, whole, f)
+            assert got.A.shape == want.A.shape
             for a in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, a), getattr(want, a))
+                assert np.array_equal(getattr(got.A, a), getattr(want.A, a))
+            assert np.array_equal(got.c0, want.c0)
+            assert np.array_equal(got.P, want.P)
             checked += 1
             free += len(Qhat)
     assert checked >= 20 and free > 0

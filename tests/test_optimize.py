@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chronocycle as cc
+from chronocycle import complexes as complexes_module
 from chronocycle import lp as lp_module
 from chronocycle import optimize as optimize_module
 from chronocycle.complexes import Chain
@@ -236,6 +237,31 @@ def test_optimize_all_builds_each_class_once(monkeypatch):
         assert rep.solution.iterations == alone.solution.iterations
         assert rep.rounded == alone.rounded
         assert rep.rounded_is_cycle == alone.rounded_is_cycle
+
+
+@pytest.mark.parametrize("policy", [RelaxationPolicy.full(),
+                                    RelaxationPolicy.fraction(0.7)],
+                         ids=["full", "fraction"])
+def test_each_class_builds_one_boundary_block(monkeypatch, policy):
+    # the one block is the LP's free columns: the lift's real check and the
+    # rounded F2 checks read the face index
+    calls = []
+    original = complexes_module._boundary_columns
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (complexes_module, optimize_module):
+        monkeypatch.setattr(module, "_boundary_columns", counted)
+    pc = _sine_cloud()
+    f = cc.build_rips(pc, cc.RipsConfig(max_dim=1, max_radius=1.6))
+    dec = reduce(f)
+    pairs = [pr for pr in dec.pairs(1) if not pr.essential]
+    reps = optimize_all(pairs, policy, KINDS, f, dec, pc.labels,
+                        significance=0.0)
+    assert len(reps) == len(KINDS) * len(pairs) >= 2 * len(KINDS)
+    assert len(calls) == len(pairs)
 
 
 @pytest.mark.parametrize("policy", [RelaxationPolicy.full(),

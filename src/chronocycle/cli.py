@@ -30,6 +30,7 @@ from .embedding import (
     read_series_csv,
     sliding_window,
     spectrum,
+    subsample,
     subsample_indices,
     write_series_csv,
 )
@@ -229,22 +230,31 @@ def _path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _fresh(cfg: PipelineConfig, name: str) -> str:
+    """A product's path, cleared so that a failed command leaves no stale file."""
+    path = _path(cfg, name)
+    if os.path.exists(path):
+        os.remove(path)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
+    out = _fresh(cfg, "series.csv")
     if cfg.kind == "noisy_sine":
         ts = noisy_sine(n=cfg.n, t_end=cfg.t_end, sigma=cfg.sigma, seed=cfg.seed)
     else:
         ts = double_sine(n=cfg.n, t_end=cfg.t_end)
-    out = _path(cfg, "series.csv")
     write_series_csv(ts, out)
     print(out)
     return 0
 
 
 def cmd_embed(cfg: PipelineConfig) -> int:
+    out = _fresh(cfg, "embedding.json")
     src = cfg.input or _path(cfg, "series.csv")
     try:
         ts = read_series_csv(src)
@@ -260,7 +270,6 @@ def cmd_embed(cfg: PipelineConfig) -> int:
     curve = delay_curve(s, d, np.linspace(lo, hi, cfg.tau_count))
     tau = cfg.tau if cfg.tau is not None else best_delay(curve)
     pc = sliding_window(ts, EmbeddingParams(d=d, tau=tau))
-    out = _path(cfg, "embedding.json")
     write_json(out, {
         "schema": 1,
         "d": d,
@@ -282,18 +291,23 @@ def _reduced_subsample(cfg: PipelineConfig):
     if len(emb["points"]) < 2:
         raise DataError("embedding has fewer than 2 points")
     pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
-    idx = subsample_indices(len(pc), min(cfg.subsample, len(pc)))
-    cloud = LabeledPointCloud(points=pc.points[idx], labels=pc.labels[idx])
+    cloud = subsample(pc, min(cfg.subsample, len(pc)))
     filt = build_rips(cloud, cfg.rips_config(), cap=cfg.simplex_cap)
-    return cloud, [int(i) for i in idx], filt, reduce_filtration(filt)
+    return cloud, subsample_indices(len(pc), len(cloud)), filt, reduce_filtration(filt)
+
+
+def _vertices(filt, dim: int, ids: list[int]) -> np.ndarray:
+    """The cloud vertex rows of the dim-simplices ``ids``, for the products."""
+    return filt.levels[dim][filt.rows[ids]]
 
 
 def cmd_ph(cfg: PipelineConfig) -> int:
+    out = _fresh(cfg, "diagram.json")
     _, to_emb, filt, dec = _reduced_subsample(cfg)
-    rows = diagram_to_json(full_diagram(dec, cfg.max_dim), filt)
-    for row in rows:
-        row["initial_rep"] = [[to_emb[v] for v in s] for s in row["initial_rep"]]
-    out = _path(cfg, "diagram.json")
+    pairs = full_diagram(dec, cfg.max_dim)
+    rows = diagram_to_json(pairs)
+    for row, pr in zip(rows, pairs):
+        row["initial_rep"] = to_emb[_vertices(filt, pr.dim, pr.initial_rep.support)]
     write_json(out, {
         "schema": 1,
         "subsample_indices": to_emb,
@@ -305,6 +319,7 @@ def cmd_ph(cfg: PipelineConfig) -> int:
 
 
 def cmd_optimize(cfg: PipelineConfig) -> int:
+    out = _fresh(cfg, "representatives.json")
     if not os.path.exists(_path(cfg, "diagram.json")):
         raise DataError("diagram.json not found: run the ph command first")
     cloud, to_emb, filt, dec = _reduced_subsample(cfg)
@@ -320,9 +335,7 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
     rows = []
     for rep in reps:
         sol = rep.solution
-        support = [
-            [to_emb[v] for v in filt.simplices[g]] for g in sol.support
-        ]
+        verts = _vertices(filt, rep.pair.dim, sol.support)
         rows.append({
             "pair": diagram_to_json([rep.pair])[0],
             "kind": rep.loss_kind,
@@ -333,14 +346,10 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
             "iterations": sol.iterations,
             "dispersion": rep.dispersion,
             "fractional": not rep.rounded_is_cycle,
-            "support": support,
+            "support": to_emb[verts],
             "coefficients": sol.support_coefficients,
-            "support_labels": sorted(
-                {float(cloud.labels[v]) for s in sol.support
-                 for v in filt.simplices[s]}
-            ),
+            "support_labels": np.unique(cloud.labels[verts]),
         })
-    out = _path(cfg, "representatives.json")
     write_json(out, {"schema": 1, "subsample_indices": to_emb, "classes": rows})
     print(out)
     return 0

@@ -78,13 +78,6 @@ class Chain:
     def __bool__(self) -> bool:
         return bool(self.entries)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Chain)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
 
 class SimplexView(Sequence):
     """Read-only sequence of a filtration's simplices as vertex tuples.
@@ -489,21 +482,21 @@ def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:
     return _boundary_columns(f, p, slice(None), mode)
 
 
-def _positions(c: Chain, f: Filtration) -> np.ndarray:
-    """The local positions of the chain's ids among the filtration's
-    c.dim-simplices, in entry order; raises naming the first id that is
-    not one of them."""
-    idx = np.fromiter(c.entries, dtype=np.int64, count=len(c.entries))
+def _positions(ids, dim: int, f: Filtration) -> np.ndarray:
+    """The local positions of global ids (a chain's entries, or an array)
+    among the filtration's dim-simplices, in the order given; raises naming
+    the first id that is not one of them."""
+    idx = np.fromiter(ids, dtype=np.int64, count=len(ids))
     bad = (idx < 0) | (idx >= len(f))
-    bad[~bad] = f.dims[idx[~bad]] != c.dim
+    bad[~bad] = f.dims[idx[~bad]] != dim
     if bad.any():
         g = int(idx[bad.argmax()])
         if not 0 <= g < len(f):
             raise ValueError(f"id {g} is outside the filtration of {len(f)} simplices")
         raise ValueError(
-            f"id {g}: simplex {f.simplices[g]} has dimension {f.dims[g]}, chain {c.dim}"
+            f"id {g}: simplex {f.simplices[g]} has dimension {f.dims[g]}, not {dim}"
         )
-    return np.searchsorted(f.dim_indices(c.dim), idx)
+    return np.searchsorted(f.dim_indices(dim), idx)
 
 
 def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
@@ -513,7 +506,7 @@ def boundary(c: Chain, f: Filtration, mode: str = F2) -> Chain:
     coefficients sums them, bit for bit."""
     if c.dim == 0:
         raise ValueError("no boundary below dimension 0")
-    faces = f.faces(c.dim)[_positions(c, f)]
+    faces = f.faces(c.dim)[_positions(c.entries, c.dim, f)]
     coef = np.fromiter(c.entries.values(), dtype=float, count=len(c.entries))
     terms = coef[:, None] * _face_signs(c.dim + 1, mode)
     y = np.bincount(faces.ravel(), terms.ravel(), minlength=f.n_simplices(c.dim - 1))
@@ -542,7 +535,7 @@ def orient_chain(c: Chain, f: Filtration) -> Chain:
     """
     if not c:
         raise ValueError("cannot orient zero chain")
-    local = np.sort(_positions(c, f))
+    local = np.sort(_positions(c.entries, c.dim, f))
     if c.dim == 0:
         return Chain(0, dict.fromkeys(c.entries, 1.0))
     k = c.dim + 1

@@ -81,6 +81,14 @@ def restrict_sets(
     return P, blk.cols[np.flatnonzero(low >= 0)]
 
 
+def _lookup(ids, among: np.ndarray, what: str) -> np.ndarray:
+    """Positions of ids in the ascending ``among``; raises naming an id not there."""
+    missing = np.setdiff1d(ids, among)
+    if len(missing):
+        raise ValueError(f"id {missing[0]} is not {what}")
+    return np.searchsorted(among, ids)
+
+
 def build_lp(
     P,
     Qhat,
@@ -100,15 +108,16 @@ def build_lp(
     k = c0.dim + 2  # faces per column
     lifted = orient_chain(c0, f)
     row = np.full(f.n_simplices(c0.dim), -1)
-    row[np.searchsorted(f.dim_indices(c0.dim), P)] = np.arange(len(P))
-    at = np.searchsorted(bd.cols, Qhat)
+    row[_positions(P, c0.dim, f)] = np.arange(len(P))
+    _positions(Qhat, c0.dim + 1, f)  # raises for an id that is no (p+1)-simplex
+    at = _lookup(Qhat, bd.cols, "a column of bd")
     faces = row[bd.matrix.indices.reshape(-1, k)[at]]
     if np.any(faces < 0):  # closure: every face of a free simplex is admissible
         raise ValueError("free column has faces outside P")
     signs = bd.matrix.data.reshape(-1, k)[at]
     A = sp.csc_matrix((signs.ravel(), faces.ravel(), np.arange(0, faces.size + 1, k)),
                       shape=(len(P), len(at)))
-    c0_rows = row[_positions(lifted, f)]
+    c0_rows = row[_positions(lifted.entries, lifted.dim, f)]
     if np.any(c0_rows < 0):
         raise ValueError("initial cycle not supported inside P")
     c0_vec = np.zeros(len(P))
@@ -197,12 +206,12 @@ def oracle_optimal(P, Qhat, c0: Chain, W: WeightMatrix, bd: BoundaryMatrix,
     m = len(P)
     n_words = max(1, (m + 63) >> 6)
     row = np.full(len(bd.rows), -1)  # the row in P of each of bd's rows, or -1
-    row[np.searchsorted(bd.rows, P)] = np.arange(m)
+    row[_lookup(P, bd.rows, "a p-simplex")] = np.arange(m)
 
     masks = np.zeros((1, n_words), dtype=np.uint64)
-    masks[0] = _pack_column(row[np.searchsorted(bd.rows, c0.support)], n_words)
+    masks[0] = _pack_column(row[_lookup(c0.support, bd.rows, "a p-simplex")], n_words)
     A = bd.matrix
-    for j in np.searchsorted(bd.cols, Qhat):
+    for j in _lookup(Qhat, bd.cols, "a column of bd"):
         col = _pack_column(row[A.indices[A.indptr[j] : A.indptr[j + 1]]], n_words)
         masks = np.vstack([masks, masks ^ col[None, :]])
 

@@ -123,8 +123,8 @@ def _optimize_pair(
             cand = Chain(p, entries)
             if p == 0 or not cand or not boundary(cand, f, F2):
                 rounded = cand
-        support = [f.simplices[g] for g in sol.support]
-        dispersion = support_dispersion(support, labels) if support else 0.0
+        support = verts[np.searchsorted(P, sol.support)]  # P ascends
+        dispersion = support_dispersion(support, labels) if len(support) else 0.0
         out.append(OptimizedRepresentative(
             pair=pair, policy=policy, loss_kind=kind, solution=sol,
             dispersion=dispersion, relaxed_birth=b_relaxed, rounded=rounded,

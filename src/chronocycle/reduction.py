@@ -34,9 +34,9 @@ whose youngest face is its own pivot row needs no addition, because that
 row has one owner and no earlier column can claim it.  Their R columns are
 their boundaries, built in one pass; only the rest are reduced one at a
 time, each adding only pivot owners to its left.  V is kept as a log of
-column additions and expanded on demand.  A positive column's log is
-computed when its V column is first needed (essential classes,
-``check_rv``), by the same column reduction.
+column additions and expanded on demand.  Until its V column is first
+needed (essential classes, ``check_rv``), a column not reduced one at a
+time shares one empty log; the same column reduction then computes its own.
 """
 
 from __future__ import annotations
@@ -75,15 +75,14 @@ class _DimReduction:
     of each column, -1 where its reduced column is zero.  ``pivot_of_row`` is
     its read-only inverse, filled from it in one assignment: the column that
     owns each row, -1 where none does.  ``r`` and ``adds`` have one entry per
-    column.  Positive columns (R = 0) start out sharing one empty ``adds``
-    entry; their addition log is filled in when their V column is first
-    asked for.  Negative columns that were reduced as they stand share
-    another empty entry, which stays empty.
+    column.  The positive columns (R = 0) and the negative ones reduced as
+    they stand share one empty ``adds`` entry, ``_unreduced``, until their
+    V column is first asked for and their own log is filled in.
     """
 
     __slots__ = (
         "rows", "cols", "faces", "r", "adds", "low", "pivot_of_row",
-        "_unreduced", "_as_is", "_v_cache",
+        "_unreduced", "_v_cache",
     )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
@@ -95,7 +94,6 @@ class _DimReduction:
         self.low = low
         n = len(cols)
         self._unreduced: list[int] = []
-        self._as_is: list[int] = []
         self.r: list[int] = [0] * n
         self.adds: list[list[int]] = [self._unreduced] * n
         self._v_cache: dict[int, int] = {}
@@ -121,7 +119,6 @@ class _DimReduction:
             bits = [b | 1 << row for b, row in zip(bits, col)]
         for j, b in zip(fast.tolist(), bits):
             self.r[j] = b
-            self.adds[j] = self._as_is
         # the others are reduced left to right, each by the earlier columns
         # only, as in the full reduction, so that a wrong pairing fails the
         # pivot check below as it would there
@@ -406,22 +403,12 @@ def full_diagram(dec: ReducedDecomposition, max_dim: int) -> list[PersistencePai
     return out
 
 
-def diagram_to_json(pairs: list[PersistencePair], f: Filtration = None) -> list[dict]:
-    """JSON-friendly diagram rows; infinite deaths encode as null.  Given
-    the filtration, each row also lists the vertex tuples of its initial
-    representative."""
-    rows = []
-    for pr in pairs:
-        row = {
-            "dim": pr.dim,
-            "birth": pr.birth,
-            "death": None if pr.essential else pr.death,
-            "birth_simplex": pr.birth_simplex,
-            "death_simplex": pr.death_simplex,
-        }
-        if f is not None:
-            row["initial_rep"] = [
-                list(f.simplices[i]) for i in pr.initial_rep.support
-            ]
-        rows.append(row)
-    return rows
+def diagram_to_json(pairs: list[PersistencePair]) -> list[dict]:
+    """JSON-friendly diagram rows of simplex ids and values; infinite
+    deaths encode as null.  A row names its simplices by filtration id
+    only: vertex lists are the caller's, in the caller's vertex ids."""
+    return [
+        {"dim": pr.dim, "birth": pr.birth, "death": None if pr.essential else pr.death,
+         "birth_simplex": pr.birth_simplex, "death_simplex": pr.death_simplex}
+        for pr in pairs
+    ]

@@ -104,9 +104,9 @@ def weights_for(kind: str, P, labels) -> WeightMatrix:
 
 
 def support_dispersion(support_simplices, labels) -> float:
-    """Max minus min vertex time label over the support simplices."""
-    vs = [v for s in support_simplices for v in s]
-    if not vs:
+    """Max minus min vertex time label over the support simplices, given as
+    P is to ``weights_for``: an (m, p+1) vertex array or m vertex tuples."""
+    L = np.asarray(labels, dtype=float)[np.asarray(support_simplices, dtype=np.int64)]
+    if not L.size:
         raise ValueError("dispersion undefined for zero chain")
-    ts = [float(labels[v]) for v in vs]
-    return max(ts) - min(ts)
+    return float(L.max() - L.min())

@@ -415,6 +415,29 @@ def test_optimize_and_export(pipeline_dir):
     assert "1" in flags
 
 
+def test_failed_command_leaves_no_product_of_its_own(tmp_path):
+    # its own directory: pipeline_dir's products are shared by the module
+    out = str(tmp_path)
+    for args in (["synth", "--kind", "noisy_sine", "--n", "200", "--seed", "3"],
+                 ["embed", "--tau-count", "20"],
+                 ["ph", "--subsample", "30"],
+                 ["optimize", "--subsample", "30", "--kinds", "vertex"]):
+        assert main([*args, "--out-dir", out]) == 0
+    for args, product in (
+        (["optimize", "--subsample", "30", "--policy", "absolute:1000"],
+         "representatives.json"),
+        (["ph", "--simplex-cap", "100"], "diagram.json"),
+    ):
+        assert main([*args, "--out-dir", out]) == 2
+        assert not os.path.exists(os.path.join(out, product))
+    # export finds no diagram rather than tables of the earlier run
+    assert main(["export", "--out-dir", out]) == 2
+    assert not os.path.exists(os.path.join(out, "overlay_0.csv"))
+    missing = os.path.join(out, "missing.csv")
+    assert main(["embed", "--out-dir", out, "--input", missing]) == 2
+    assert not os.path.exists(os.path.join(out, "embedding.json"))
+
+
 def test_optimize_solver_stall_is_exit_three(pipeline_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverStalled("solver stalled")

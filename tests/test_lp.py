@@ -214,6 +214,49 @@ def test_build_lp_rejects_open_closure():
         build_lp(P, f.dim_indices(2), c0, W, bd, f)
 
 
+def test_build_lp_and_oracle_name_ids_they_cannot_place():
+    f = pentagon_with_chord()  # ids 0-4 vertices, 5-10 edges, 11 the triangle
+    c0 = chain_over(f, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    P, Qhat = f.dim_indices(1), f.dim_indices(2)
+    W = length_weights(P)
+    whole = boundary_matrix(f, 1, REAL)
+    no_column = _boundary_columns(f, 1, np.array([], dtype=int), REAL)
+    for bad_P, bad_Q, bd, named in [
+        (np.append(P, 0), Qhat, whole, r"id 0\b"),  # a vertex in P
+        (P, np.array([5, 11]), whole, r"id 5\b"),  # an edge in Qhat
+        (P, Qhat, no_column, r"id 11 is not a column of bd"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            build_lp(bad_P, bad_Q, c0, W, bd, f)
+        with pytest.raises(ValueError, match=named):
+            oracle_optimal(bad_P, bad_Q, c0, W, bd)
+
+
+def test_build_lp_refuses_a_block_without_a_free_column():
+    # the first class of noisy sine seed 0 as sine-optimize runs it, read
+    # from a block that lacks its first free column
+    series = cc.noisy_sine(n=200, sigma=0.1, seed=0)
+    sup = cc.spectrum(series)
+    d = cc.embedding_dimension(sup)
+    tau = cc.optimal_delay(sup, d, cc.default_tau_grid(sup))
+    pc = cc.subsample(
+        cc.sliding_window(series, cc.EmbeddingParams(d=d, tau=tau)), 60
+    )
+    f = build_rips(pc, RipsConfig(max_dim=1, max_radius=2.0))
+    dec = reduce(f)
+    pr = cc.significant_pairs(dec.pairs(1))[0]
+    b = RelaxationPolicy.fraction(0.7).relaxed_birth(pr, f)
+    P, Qhat = restrict_sets(f, dec, 1, b)
+    W = length_weights(P)
+    cols = np.searchsorted(f.dim_indices(2), Qhat)
+    block = _boundary_columns(f, 1, cols, REAL)
+    lp = build_lp(P, Qhat, pr.initial_rep, W, block, f)
+    assert lp.A.shape == (len(P), len(Qhat)) and len(Qhat) > 1
+    short = _boundary_columns(f, 1, cols[1:], REAL)
+    with pytest.raises(ValueError, match=rf"id {Qhat[0]} is not a column of bd"):
+        build_lp(P, Qhat, pr.initial_rep, W, short, f)
+
+
 def test_oracle_rejects_large_enumeration():
     with pytest.raises(ValueError, match="too many"):
         oracle_optimal(

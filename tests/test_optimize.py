@@ -239,6 +239,20 @@ def test_optimize_all_builds_each_class_once(monkeypatch):
         assert rep.rounded_is_cycle == alone.rounded_is_cycle
 
 
+def test_dispersion_is_the_label_spread_of_the_support():
+    pc = _sine_cloud()
+    f = cc.build_rips(pc, cc.RipsConfig(max_dim=1, max_radius=1.6))
+    dec = reduce(f)
+    pairs = [pr for pr in dec.pairs(1) if not pr.essential]
+    reps = optimize_all(pairs, RelaxationPolicy.fraction(0.7), KINDS, f, dec,
+                        pc.labels, significance=0.0)
+    assert {rep.loss_kind for rep in reps} == set(KINDS)
+    for rep in reps:
+        ts = [float(pc.labels[v]) for g in rep.solution.support
+              for v in f.simplices[g]]
+        assert ts and rep.dispersion == max(ts) - min(ts)
+
+
 @pytest.mark.parametrize("policy", [RelaxationPolicy.full(),
                                     RelaxationPolicy.fraction(0.7)],
                          ids=["full", "fraction"])

@@ -205,10 +205,12 @@ def test_diagram_json(cylinder):
     rows = diagram_to_json(pairs)
     deaths = sorted((r["death"] is None) for r in rows)
     assert deaths == [False, True]
-    assert all("initial_rep" not in r for r in rows)
-    rows = diagram_to_json(pairs, cylinder)
-    assert len(rows) == 2
-    assert all(len(s) == 2 for r in rows for s in r["initial_rep"])
+    # simplex ids only: vertex lists are the caller's, in its own vertex ids
+    keys = {"dim", "birth", "death", "birth_simplex", "death_simplex"}
+    assert all(set(r) == keys for r in rows)
+    assert [(r["birth_simplex"], r["death_simplex"]) for r in rows] == [
+        (pr.birth_simplex, pr.death_simplex) for pr in pairs
+    ]
 
 
 def test_pair_ordering_is_stable():

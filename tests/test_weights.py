@@ -149,6 +149,9 @@ def test_dispersion_on_hexagon(labeled):
         hex_edges.append(tuple(sorted((va, vb))))
     # labels span pi/3 .. 2 pi over the six hexagon edges
     assert support_dispersion(hex_edges, labels) == pytest.approx(5 * PI / 3)
+    # the vertex array of the same edges, as the optimization passes it
+    assert (support_dispersion(np.array(hex_edges), np.asarray(labels))
+            == support_dispersion(hex_edges, labels))
 
 
 def test_dispersion_zero_chain_errors(labeled):

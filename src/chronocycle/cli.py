@@ -10,6 +10,7 @@ fail as usage errors before any work starts.  Exit codes: 0 ok, 1 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -355,6 +356,19 @@ def cmd_optimize(cfg: PipelineConfig) -> int:
     return 0
 
 
+def _in_windows(times: np.ndarray, starts, span: float) -> np.ndarray:
+    """1 where a time lies in a window [s - 1e-12, s + span + 1e-12] of some
+    start s, else 0.  Both bounds ascend with s, so of the windows that open
+    at or before t, the last one to open also closes last: one
+    ``searchsorted`` finds it.  A leading window (-inf, -inf] holds no time
+    and stands for "none opens before t"."""
+    s = np.sort(np.asarray(starts, dtype=float))
+    lo = np.concatenate([[-np.inf], s - 1e-12])
+    hi = np.concatenate([[-np.inf], s + span + 1e-12])
+    last = np.searchsorted(lo, times, side="right") - 1
+    return (hi[last] >= times).astype(int)
+
+
 def cmd_export(cfg: PipelineConfig) -> int:
     dia = read_json(_path(cfg, "diagram.json"))
     emb = read_json(_path(cfg, "embedding.json"))
@@ -377,12 +391,10 @@ def cmd_export(cfg: PipelineConfig) -> int:
     if proj.shape[1] < 3:
         proj = np.hstack([proj, np.zeros((len(proj), 3 - proj.shape[1]))])
     with open(_path(cfg, "pca.csv"), "w", newline="") as fh:
-        fh.write("pc1,pc2,pc3,label\n")
-        for row, lab in zip(proj, pc.labels):
-            fh.write(
-                f"{float(row[0])!r},{float(row[1])!r},"
-                f"{float(row[2])!r},{float(lab)!r}\n"
-            )
+        fh.write("pc1,pc2,pc3,label\n" + "".join(
+            f"{a!r},{b!r},{c!r},{lab!r}\n"
+            for (a, b, c), lab in zip(proj.tolist(), pc.labels.tolist())
+        ))
 
     reps_path = _path(cfg, "representatives.json")
     if os.path.exists(reps_path):
@@ -393,16 +405,14 @@ def cmd_export(cfg: PipelineConfig) -> int:
         except OSError as exc:
             raise DataError(f"cannot read series {series_path}: {exc}")
         span = (emb["d"] - 1) * emb["tau"]
+        times = ts.times()
+        samples = list(zip(times.tolist(), ts.values.tolist()))
         for i, row in enumerate(reps["classes"]):
-            starts = row["support_labels"]
-            path = _path(cfg, f"overlay_{i}.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write("t,value,in_support\n")
-                for t, v in zip(ts.times(), ts.values):
-                    flag = int(
-                        any(s - 1e-12 <= t <= s + span + 1e-12 for s in starts)
-                    )
-                    fh.write(f"{float(t)!r},{float(v)!r},{flag}\n")
+            flags = _in_windows(times, row["support_labels"], span).tolist()
+            with open(_path(cfg, f"overlay_{i}.csv"), "w", newline="") as fh:
+                fh.write("t,value,in_support\n" + "".join(
+                    f"{t!r},{v!r},{flag}\n" for (t, v), flag in zip(samples, flags)
+                ))
     print(_path(cfg, "diagram.csv"))
     return 0
 
@@ -437,9 +447,12 @@ _HELP = {
 }
 
 
+@functools.cache
 def make_parser() -> _Parser:
     """Each subcommand takes --config, --out-dir, --seed and its own fields.
-    Flag values stay strings: build_config parses them as config values."""
+    Flag values stay strings: build_config parses them as config values.
+    Built once per process: each parse makes a fresh namespace, so no call
+    sees another's flags."""
     parser = _Parser(prog="chronocycle", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, fields) in _SUBCOMMANDS.items():

@@ -130,7 +130,7 @@ def _levels_of_pairs(simplices) -> list[tuple[np.ndarray, list[float]]]:
         group = groups.setdefault(len(verts), ([], []))
         group[0].append(verts)
         group[1].append(value)
-    return [(np.array(vs), vals) for vs, vals in groups.values()]
+    return [(_read_only(np.array(vs)), vals) for vs, vals in groups.values()]
 
 
 def _vertex_ids(s) -> np.ndarray:
@@ -192,7 +192,9 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
     """Validated (vertices, values, ranks, keys) per dimension, ascending,
     each with its rows in lexicographic order: as they came where the keys
     strictly increase, else by one stable ``argsort`` of the keys, after
-    which duplicates are adjacent equal keys."""
+    which duplicates are adjacent equal keys.  A dimension given as one
+    read-only vertex array that needs no sort is that array, not a copy; a
+    writeable one is copied, so a caller's writeable array is never kept."""
     by_width: dict[int, list] = {}
     for s, v in levels:
         s, v = _vertex_ids(s), np.asarray(v, dtype=float)
@@ -207,8 +209,11 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
     out = []
     for p, width in enumerate(sorted(by_width)):
         parts = by_width[width]
-        s = np.concatenate([s for s, _ in parts])
-        v = np.concatenate([v for _, v in parts])
+        if len(parts) == 1:
+            (s, v), = parts
+        else:
+            s = np.concatenate([s for s, _ in parts])
+            v = np.concatenate([v for _, v in parts])
         if not np.all(v >= 0):
             raise ValueError("filtration values must be non-negative")
         if s.min() < 0:
@@ -234,6 +239,8 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
                 raise ValueError(
                     f"duplicate simplex {tuple(s[dup[0]].tolist())} in filtration"
                 )
+        elif len(parts) == 1 and s.flags.writeable:
+            s = s.copy()
         out.append((s, v, rank, keys))
     return out
 
@@ -333,9 +340,13 @@ class Filtration:
     A filtration is built from either ``simplices``, an iterable of
     (vertices, value) pairs in any order, or ``levels``, one (m, k+1) vertex
     array and m values per dimension (the Rips builder's output).  Both are
-    turned into the one form kept: ``levels[p]``, the filtration's own
-    read-only (m, p+1) int64 array of the p-simplices in lexicographic row
-    order, never the caller's array.  Simplex g is row ``rows[g]`` (int32) of
+    turned into the one form kept: ``levels[p]``, a read-only (m, p+1) int64
+    array of the p-simplices in lexicographic row order.  A vertex array
+    handed over read-only, already in that order and the only one of its
+    dimension, is kept as it is: handing it over read-only promises that
+    nothing writes it later, which is how the Rips builder's arrays are kept
+    without a copy.  A writeable array is never kept; it is copied, or
+    sorted into a new array.  Simplex g is row ``rows[g]`` (int32) of
     ``levels[dims[g]]``; ``simplices`` is a view that builds one vertex tuple
     per access.  ``values``, ``dims``, ``rows`` and ``dim_indices(p)`` are
     read-only as well, so views of them handed out (such as the LP's P)

@@ -274,6 +274,6 @@ def read_series_csv(path) -> TimeSeries:
 
 def write_series_csv(ts: TimeSeries, path):
     with open(path, "w", newline="") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(ts.times(), ts.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.write("t,value\n" + "".join(
+            f"{t!r},{v!r}\n" for t, v in zip(ts.times().tolist(), ts.values.tolist())
+        ))

@@ -32,8 +32,10 @@ above every R column's pivot equals it, and the reduction raises if one does
 not.  Most negative columns are already reduced: as in Ripser, a column
 whose youngest face is its own pivot row needs no addition, because that
 row has one owner and no earlier column can claim it.  Their R columns are
-their boundaries, built in one pass; only the rest are reduced one at a
-time, each adding only pivot owners to its left.  V is kept as a log of
+their boundaries, so none is stored: a block's ``r`` is a read-only view
+that keeps only the columns reduced one at a time, each adding only pivot
+owners to its left, and reads any other negative column off the face index
+when it is asked for (a positive column reads 0).  V is kept as a log of
 column additions and expanded on demand.  Until its V column is first
 needed (essential classes, ``check_rv``), a column not reduced one at a
 time shares one empty log; the same column reduction then computes its own.
@@ -42,7 +44,9 @@ time shares one empty log; the same column reduction then computes its own.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -68,16 +72,66 @@ class PersistencePair:
         return math.isinf(self.death)
 
 
+def _bitset(rows) -> int:
+    """The int with bit i set for each local row i."""
+    col = 0
+    for i in rows:
+        col |= 1 << i
+    return col
+
+
+class _RColumns(Sequence):
+    """Read-only sequence of one block's R columns, each an int bitset over
+    the local rows.
+
+    Only the columns reduced one at a time are stored.  A negative column
+    reduced as it stands is its boundary, built from its row of the face
+    index when it is read; a positive column reads 0.  Iteration yields the
+    runs of zero columns with ``itertools.repeat`` and builds one int at a
+    time, so no list of all columns is ever held.
+    """
+
+    __slots__ = ("_faces", "_low", "_reduced")
+
+    def __init__(self, faces: np.ndarray, low: np.ndarray, reduced: dict[int, int]):
+        self._faces, self._low, self._reduced = faces, low, reduced
+
+    def __len__(self) -> int:
+        return len(self._low)
+
+    def __getitem__(self, j: int) -> int:
+        j = range(len(self))[j]  # negative indices count from the end
+        col = self._reduced.get(j)
+        if col is not None:
+            return col
+        if self._low.item(j) < 0:
+            return 0
+        return _bitset(self._faces[j].tolist())
+
+    def __iter__(self):
+        negative = np.flatnonzero(self._low >= 0)
+        start = 0
+        for j, rows in zip(negative.tolist(), self._faces[negative].tolist()):
+            yield from repeat(0, j - start)
+            col = self._reduced.get(j)
+            yield _bitset(rows) if col is None else col
+            start = j + 1
+        yield from repeat(0, len(self) - start)
+
+
 class _DimReduction:
     """Reduction state for one boundary block (columns = p-simplices).
 
     ``low`` is the cohomology pairing's owner array: read-only, the pivot row
     of each column, -1 where its reduced column is zero.  ``pivot_of_row`` is
     its read-only inverse, filled from it in one assignment: the column that
-    owns each row, -1 where none does.  ``r`` and ``adds`` have one entry per
-    column.  The positive columns (R = 0) and the negative ones reduced as
-    they stand share one empty ``adds`` entry, ``_unreduced``, until their
-    V column is first asked for and their own log is filled in.
+    owns each row, -1 where none does.  ``r`` is the read-only view of the R
+    columns (``_RColumns``): it stores an int only for the negative columns
+    reduced one at a time, and reads the others off the face index.
+    ``adds`` has one entry per column.  The positive columns (R = 0) and the
+    negative ones reduced as they stand share one empty ``adds`` entry,
+    ``_unreduced``, until their V column is first asked for and their own
+    log is filled in.
     """
 
     __slots__ = (
@@ -94,7 +148,6 @@ class _DimReduction:
         self.low = low
         n = len(cols)
         self._unreduced: list[int] = []
-        self.r: list[int] = [0] * n
         self.adds: list[list[int]] = [self._unreduced] * n
         self._v_cache: dict[int, int] = {}
         negative = np.flatnonzero(low >= 0)
@@ -110,15 +163,12 @@ class _DimReduction:
                 f"than one column"
             )
         # a column whose youngest face is its own pivot row is reduced as it
-        # stands: that row has one owner, so no earlier column claims it
+        # stands: that row has one owner, so no earlier column claims it, and
+        # the view reads its R column off its faces
         ready = faces[negative].max(axis=1) == owned
-        fast, slow = negative[ready], negative[~ready]
-        first, *rest = faces[fast].T.tolist()
-        bits = [1 << row for row in first]
-        for col in rest:
-            bits = [b | 1 << row for b, row in zip(bits, col)]
-        for j, b in zip(fast.tolist(), bits):
-            self.r[j] = b
+        slow = negative[~ready]
+        reduced: dict[int, int] = {}
+        self.r = _RColumns(faces, low, reduced)
         # the others are reduced left to right, each by the earlier columns
         # only, as in the full reduction, so that a wrong pairing fails the
         # pivot check below as it would there
@@ -130,7 +180,7 @@ class _DimReduction:
                     f"column {j} reduces to pivot row {col.bit_length() - 1}, "
                     f"but the cohomology pairing gives row {lw}"
                 )
-            self.r[j] = col
+            reduced[j] = col
             self.adds[j] = added
 
     def _reduce_column(self, j: int) -> tuple[int, list[int]]:
@@ -139,9 +189,7 @@ class _DimReduction:
         pivots met all belong to earlier columns: each pivot row has one
         owner, and the full reduction met the same owners when it reduced
         column j to zero."""
-        col = 0
-        for i in self.faces[j].tolist():
-            col |= 1 << i
+        col = _bitset(self.faces[j].tolist())
         added: list[int] = []
         while col:
             other = int(self.pivot_of_row[col.bit_length() - 1])

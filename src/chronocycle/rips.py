@@ -136,12 +136,15 @@ def _check_budget(total: int, cap: Optional[int]):
 def _rips_levels(points, cfg: RipsConfig,
                  cap: Optional[int] = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """(simplices, values) of each non-empty dimension, vertices first; with
-    a cap, each is counted before it is built (a refused total is partial)."""
+    a cap, each is counted before it is built (a refused total is partial).
+    The vertex arrays are fresh and read-only, so a filtration keeps them
+    as they are."""
     _check_budget(len(points), cap)
     dist, up = _graph(points, cfg)
     n = len(dist)
     flat = dist.ravel()
     simp, vals = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
+    simp.flags.writeable = False
     levels = [(simp, vals)]
     total = n
     for _ in range(cfg.max_dim + 1):
@@ -157,6 +160,7 @@ def _rips_levels(points, cfg: RipsConfig,
         last = simp[:, -1]
         for c in range(simp.shape[1] - 1):
             np.maximum(vals, flat[simp[:, c] * n + last], out=vals)
+        simp.flags.writeable = False
         levels.append((simp, vals))
     return levels
 

@@ -326,6 +326,64 @@ def test_flags_and_config_keys_parse_alike(tmp_path):
     assert fields == {f.name for f in dataclasses.fields(cli.PipelineConfig)}
 
 
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    built, configs = [], []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    def build_config(args):
+        configs.append(real_build_config(args))
+        return configs[-1]
+
+    real_build_config = cli.build_config
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.setattr(cli, "build_config", build_config)
+    cli.make_parser.cache_clear()
+    try:
+        out = str(tmp_path)
+        assert main(["synth", "--out-dir", out, "--n", "48"]) == 0
+        assert main(["synth", "--out-dir", out]) == 0
+    finally:
+        cli.make_parser.cache_clear()
+    # the root parser and one subparser per command, built once
+    assert built.count("chronocycle") == 1
+    assert len(built) == 1 + len(FLAGS)
+    # a flag of the first call does not reach the second call's config
+    assert configs[0].n == 48
+    assert configs[1].n == cli.PipelineConfig().n
+
+
+def _window_rule(times, starts, span):
+    """The overlay flag as a loop: is t in some [s - 1e-12, s + span + 1e-12]?"""
+    return [int(any(s - 1e-12 <= t <= s + span + 1e-12 for s in starts))
+            for t in times]
+
+
+@pytest.mark.parametrize("starts, span", [
+    ([], 0.75),
+    ([3.0], 0.75),
+    ([3.0], 0.0),
+    ([5.5, 1.25, 5.5, 1.5, 3.0], 0.75),  # unsorted, duplicated, overlapping
+    ([2.0, 2.0, 2.0], 0.5),
+])
+def test_overlay_flags_follow_the_window_rule(starts, span):
+    bounds = [b for s in starts for b in (s - 1e-12, s + span + 1e-12)]
+    times = np.array(
+        [x for b in bounds
+         for x in (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf))]
+        + np.linspace(0.0, 8.0, 97).tolist()
+    )
+    got = cli._in_windows(times, starts, span).tolist()
+    assert got == _window_rule(times, starts, span)
+    if len(starts) == 1:  # on a bound is inside, one ulp past it outside
+        assert got[:6] == [1, 0, 1, 1, 1, 0]
+    if not starts:
+        assert not any(got)
+
+
 def test_write_json_refuses_non_finite_floats(tmp_path):
     path = tmp_path / "out.json"
     cli.write_json(path, {"b": np.float32(0.5), "a": np.arange(3),

@@ -269,7 +269,7 @@ def assert_matches_full_reduction(f):
     assert sorted(dec.blocks) == sorted(ref)
     for p, (r, low, adds) in ref.items():
         blk = dec.blocks[p]
-        assert blk.r == r
+        assert list(blk.r) == r
         assert blk.low.tolist() == low
         assert len(blk.adds) == len(adds)
         # check_rv asks for every V column, positive ones on demand
@@ -350,6 +350,59 @@ def test_positive_columns_share_one_empty_log():
     assert all(blk.adds[j] == [] and blk.r[j] == 0 for j in positive)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=11),
+    max_dim=st.integers(min_value=1, max_value=3),
+    radius=st.sampled_from([ENCLOSING, 0.4, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_r_view_reads_stored_and_apparent_columns(n, max_dim, radius, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.array([(x, y) for x in range(4) for y in range(4)]) / 4.0
+    pts = grid[rng.choice(len(grid), size=n, replace=False)]
+    f = build_rips(cloud(pts), RipsConfig(max_dim=max_dim, max_radius=radius))
+    dec = reduce(f)
+    ref = full_reduction(f)
+    for p, blk in dec.blocks.items():
+        r = ref[p][0]
+        assert not isinstance(blk.r, list)
+        assert len(blk.r) == len(r)
+        assert list(blk.r) == r
+        assert [blk.r[j] for j in range(len(r))] == r
+        assert blk.r[-1] == r[-1]
+        with pytest.raises(IndexError):
+            blk.r[len(r)]
+        # an apparent column is its boundary, read off the face index; only
+        # the columns reduced one at a time are stored
+        negative = np.flatnonzero(blk.low >= 0)
+        apparent = negative[blk.faces[negative].max(axis=1) == blk.low[negative]]
+        for j in apparent.tolist():
+            assert blk.r[j] == sum(1 << i for i in blk.faces[j].tolist())
+        assert sorted(blk.r._reduced) == sorted(set(negative.tolist())
+                                                - set(apparent.tolist()))
+
+
+def test_checks_and_chains_read_the_r_view():
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    dec = reduce(f)
+    blk = dec.blocks[2]
+    negative = np.flatnonzero(blk.low >= 0).tolist()
+    j, k = negative[:2]
+    assert blk.faces[j].max() == blk.low[j]  # apparent: R is its boundary
+    boundary_of_j = sorted(blk.rows[blk.faces[j]].tolist())
+    assert dec.r_chain(2, j).support == boundary_of_j
+    assert dec.check_reduced(2) and dec.check_rv(2)
+    # over a tampered copy of the columns the same calls change: they read r
+    tampered = list(blk.r)
+    tampered[j] ^= 1 << int(blk.low[j])
+    blk.r = tampered
+    assert dec.r_chain(2, j).support != boundary_of_j
+    assert not dec.check_rv(2)
+    tampered[j] = tampered[k]
+    assert not dec.check_reduced(2)
+
+
 def test_low_is_the_read_only_pairing():
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
     for blk in reduce(f).blocks.values():
@@ -409,7 +462,7 @@ def test_corrupt_pairing_fails_the_pivot_check(corrupt):
 def assert_matches_negative_column_reduction(dec):
     for blk in dec.blocks.values():
         r, adds, pivot_of_row = negative_column_reduction(blk.faces, blk.low)
-        assert blk.r == r
+        assert list(blk.r) == r
         assert blk.adds == adds
         # the oracle's map as an array: row -> owning column, -1 for none
         expected = np.full(len(blk.rows), -1)
@@ -446,4 +499,6 @@ def test_torus_blocks_match_the_all_columns_loop():
     negative = np.flatnonzero(blk.low >= 0)
     adds_nothing = sum(1 for j in negative.tolist() if not blk.adds[j])
     assert len(negative) == 11_026 and adds_nothing == 10_931
+    # the R view stores an int for the other 95 columns only
+    assert len(blk.r._reduced) == 95
     assert_matches_negative_column_reduction(dec)

@@ -257,3 +257,29 @@ def test_level_values_match_the_blockwise_max(max_dim):
         blockwise = np.maximum(prev_vals[parent],
                                dist[simp[:, :-1], simp[:, -1:]].max(axis=1))
         assert vals.tobytes() == blockwise.tobytes()
+
+
+def test_filtration_keeps_the_rips_levels(monkeypatch):
+    # the builder's arrays are fresh and read-only: the filtration keeps
+    # them rather than copying its largest arrays
+    built = []
+
+    def levels(*args):
+        built.extend(rips_levels(*args))
+        return built
+
+    rips_levels = rips._rips_levels
+    monkeypatch.setattr(rips, "_rips_levels", levels)
+    pts = np.random.default_rng(3).random((9, 2))
+    f = build_rips(cloud(pts), RipsConfig(max_dim=2))
+    assert len(built) == len(f.levels) == 4
+    for (simp, _), kept in zip(built, f.levels):
+        assert not simp.flags.writeable
+        assert np.shares_memory(simp, kept)
+    # a writeable copy of the same levels is copied, and stays writeable
+    given = [(simp.copy(), vals.copy()) for simp, vals in built]
+    g = rips.Filtration(levels=given)
+    assert_same_filtration(f, g)
+    for (simp, _), kept in zip(given, g.levels):
+        assert simp.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(simp, kept)

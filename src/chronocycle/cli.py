@@ -442,7 +442,8 @@ _HELP = {
     "input": "series CSV (default out_dir/series.csv)",
     "d": "override the embedding dimension",
     "tau": "override the delay",
-    "policy": "full | fraction:RHO | absolute:EPS",
+    "policy": "full | fraction:RHO | absolute:EPS; the last two refuse "
+              "essential classes, so --dim 0 needs full",
     "kinds": "comma list: vertex,simplex,length",
 }
 

@@ -21,17 +21,13 @@ small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .complexes import BoundaryMatrix, Chain, Filtration, _positions, orient_chain
+from .complexes import CSC, BoundaryMatrix, Chain, Filtration, _positions, orient_chain
 from .lpsolver import SolverStalled, revised_simplex
 from .reduction import ReducedDecomposition
 from .weights import WeightMatrix
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 RESIDUAL_TOL = 1e-8
 ROUND_TOL = 1e-6
@@ -42,12 +38,13 @@ TIE_TOL = 1e-9     # reduced costs at most this (relative) count as zero
 class CycleLP:
     """The class at its relaxed birth b', in local positions: row i is P[i],
     and on the optimization's path P is the alive prefix, the first
-    m = len(P) p-simplices in filtration order.  A's CSC holds each free
-    column's p + 2 face rows, ascending and all below m, with the signs
-    (-1)**i; c0's nonzeros are the lifted initial cycle's rows and signs."""
+    m = len(P) p-simplices in filtration order.  A is a plain CSC record
+    that holds each free column's p + 2 face rows, ascending and all below
+    m, with the signs (-1)**i; c0's nonzeros are the lifted initial cycle's
+    rows and signs."""
 
     P: np.ndarray          # global indices of admissible p-simplices
-    A: sp.csc_matrix       # signed boundary, rows over P, one column per free simplex
+    A: CSC                 # signed boundary, rows over P, one column per free simplex
     c0: np.ndarray         # +-1 lift of the initial representative over P
     cost: np.ndarray       # per-variable cost, the weight matrix's column costs
 
@@ -102,8 +99,6 @@ def build_lp(
     real lift ``orient_chain`` gives, which raises unless c0 is a cycle.
     One table of each p-simplex's row in P, -1 outside it, maps the face
     rows of Qhat's columns to A's and the lift's local positions to c0's."""
-    import scipy.sparse as sp
-
     P = np.asarray(P, dtype=int)
     k = c0.dim + 2  # faces per column
     lifted = orient_chain(c0, f)
@@ -111,12 +106,12 @@ def build_lp(
     row[_positions(P, c0.dim, f)] = np.arange(len(P))
     _positions(Qhat, c0.dim + 1, f)  # raises for an id that is no (p+1)-simplex
     at = _lookup(Qhat, bd.cols, "a column of bd")
-    faces = row[bd.matrix.indices.reshape(-1, k)[at]]
+    faces = row[bd.csc.indices.reshape(-1, k)[at]]
     if np.any(faces < 0):  # closure: every face of a free simplex is admissible
         raise ValueError("free column has faces outside P")
-    signs = bd.matrix.data.reshape(-1, k)[at]
-    A = sp.csc_matrix((signs.ravel(), faces.ravel(), np.arange(0, faces.size + 1, k)),
-                      shape=(len(P), len(at)))
+    signs = bd.csc.data.reshape(-1, k)[at]
+    A = CSC(np.arange(0, faces.size + 1, k), faces.ravel(), signs.ravel(),
+            (len(P), len(at)))
     c0_rows = row[_positions(lifted.entries, lifted.dim, f)]
     if np.any(c0_rows < 0):
         raise ValueError("initial cycle not supported inside P")
@@ -127,13 +122,25 @@ def build_lp(
 
 def _standard_form(lp: CycleLP):
     """[I, -I, -A] over (c+, c-, w), with w the q trailing free columns."""
-    import scipy.sparse as sp
-
-    m, q = lp.A.shape
-    eye = sp.identity(m, format="csc")
-    A_std = sp.hstack([eye, -eye, -lp.A], format="csc")
+    A = lp.A
+    m, q = A.shape
+    A_std = CSC(
+        indptr=np.concatenate([np.arange(2 * m), A.indptr + 2 * m]),
+        indices=np.concatenate([np.arange(m), np.arange(m), A.indices]),
+        data=np.concatenate([np.ones(m), np.full(m, -1.0), -A.data]),
+        shape=(m, 2 * m + q),
+    )
     cost_std = np.concatenate([lp.cost, lp.cost, np.zeros(q)])
     return A_std, cost_std
+
+
+def _columns(A: CSC, keep: np.ndarray) -> CSC:
+    """The columns of A where the mask ``keep`` is set, in order."""
+    counts = np.diff(A.indptr)
+    entries = np.repeat(keep, counts)
+    kept = counts[keep]
+    return CSC(np.concatenate([[0], np.cumsum(kept)]), A.indices[entries],
+               A.data[entries], (A.shape[0], len(kept)))
 
 
 def solve(lp: CycleLP) -> CycleSolution:
@@ -156,13 +163,16 @@ def solve(lp: CycleLP) -> CycleSolution:
     face[2 * m :] = True
     rank = np.arange(1, m + 1, dtype=float)
     tie_cost = np.concatenate([rank, rank, np.zeros(q)])
-    second = revised_simplex(tie_cost[face], A_std[:, face], lp.c0, n_free=q)
+    second = revised_simplex(tie_cost[face], _columns(A_std, face), lp.c0, n_free=q)
     x = np.zeros(len(cost_std))
     x[face] = second.x
 
     c = x[:m] - x[m : 2 * m]
     w = x[2 * m :]
-    residual = float(np.max(np.abs(c - lp.c0 - lp.A @ w), initial=0.0))
+    # A w summed over A's entries in order, as scipy's matvec sums them
+    Aw = np.bincount(lp.A.indices, lp.A.data * np.repeat(w, np.diff(lp.A.indptr)),
+                     minlength=m)
+    residual = float(np.max(np.abs(c - lp.c0 - Aw), initial=0.0))
     if residual > RESIDUAL_TOL * (1 + float(np.max(np.abs(lp.c0), initial=0))):
         raise SolverStalled(f"solution residual {residual:.3e} out of tolerance")
     local = np.flatnonzero(np.abs(c) > ROUND_TOL)
@@ -210,7 +220,7 @@ def oracle_optimal(P, Qhat, c0: Chain, W: WeightMatrix, bd: BoundaryMatrix,
 
     masks = np.zeros((1, n_words), dtype=np.uint64)
     masks[0] = _pack_column(row[_lookup(c0.support, bd.rows, "a p-simplex")], n_words)
-    A = bd.matrix
+    A = bd.csc
     for j in _lookup(Qhat, bd.cols, "a column of bd"):
         col = _pack_column(row[A.indices[A.indptr[j] : A.indptr[j + 1]]], n_words)
         masks = np.vstack([masks, masks ^ col[None, :]])

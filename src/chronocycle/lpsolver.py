@@ -8,24 +8,25 @@ it, ``scipy.optimize._highspy._core``, with exactly the options
 objective and the pivots are the ones ``linprog`` returns.  The module is
 private, but ``linprog`` is the only public route to it, and its Python
 wrapper costs about half of each solve of this package's LPs.  The bindings
-are loaded from their extension file, not through ``scipy.optimize``, whose
-package import loads ``scipy.spatial``, ``scipy.linalg``, ``scipy.special``
-and more, none of which an LP uses.  Every variable is nonnegative except
-the last ``n_free``, which are free: HiGHS prices a free column directly, so
-a signed variable needs no split into two nonnegative ones, and the vertices
+are loaded from their extension file (``_extensions``), not through
+``scipy.optimize``, whose package import loads ``scipy.spatial``,
+``scipy.linalg``, ``scipy.special`` and more, none of which an LP uses.  The
+constraint matrix comes as plain CSC arrays, which HiGHS takes as they are,
+and the reduced costs are summed from them by numpy, so a solve imports no
+``scipy.sparse`` either.  Every variable is nonnegative except the last
+``n_free``, which are free: HiGHS prices a free column directly, so a
+signed variable needs no split into two nonnegative ones, and the vertices
 get no degenerate twins.  Every status other than optimal (iteration limit,
 infeasible, unbounded, numerical trouble) raises ``SolverStalled``.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._extensions import _scipy_extension
 
 
 # HiGHS's simplex and interior-point iteration limits; past it, SolverStalled
@@ -44,41 +45,15 @@ class SimplexResult:
     reduced: np.ndarray    # reduced costs cost - A^T y at the optimum
 
 
-def _highs_bindings():
-    """``scipy.optimize._highspy._core`` without the ``scipy.optimize``
-    package import: the module already imported under that name, or else
-    its extension file, registered under that name before it runs, so a
-    later ``import scipy.optimize`` reuses this module object."""
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    base = os.path.join(os.path.dirname(scipy.__file__), "optimize",
-                        "_highspy", "_core")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(base + suffix):
-            spec = importlib.util.spec_from_file_location(name, base + suffix)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[name] = module
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"no HiGHS extension {base}<suffix> for the suffixes "
-                      f"{importlib.machinery.EXTENSION_SUFFIXES} "
-                      f"(scipy {scipy.__version__})")
-
-
 def revised_simplex(cost, A, b, n_free: int = 0) -> SimplexResult:
     """One fresh HiGHS solve; the last ``n_free`` of the n columns are free.
-    The bindings are loaded from their extension file on the first call,
-    as ``scipy.sparse`` is imported by the first function that builds a
-    sparse matrix: ``import chronocycle`` loads neither, a run that solves
-    no LP never loads the bindings, and no call loads ``scipy.optimize``'s
+    ``A`` is any CSC matrix with ``indptr``, ``indices``, ``data`` and
+    ``shape`` (a ``complexes.CSC`` record, or a scipy ``csc_matrix``), whose
+    arrays HiGHS takes as they are.  The bindings are loaded from their
+    extension file on the first call: ``import chronocycle`` does not load
+    them, a run that solves no LP never does, and no call imports a scipy
     package."""
-    import scipy.sparse as sp
-
     cost = np.asarray(cost, float)
-    A = sp.csc_matrix(A)
     b = np.asarray(b, float)
     m, n = A.shape
     # HiGHS answers these with a wrong "optimum", not an error
@@ -90,7 +65,7 @@ def revised_simplex(cost, A, b, n_free: int = 0) -> SimplexResult:
     # a slice from n - n_free would wrap for n_free outside [0, n]
     if not 0 <= n_free <= n:
         raise ValueError(f"n_free = {n_free} is outside [0, {n}]")
-    highs = _highs_bindings()
+    highs = _scipy_extension("optimize/_highspy/_core")
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -123,9 +98,13 @@ def revised_simplex(cost, A, b, n_free: int = 0) -> SimplexResult:
         )
     solution = solver.getSolution()
     info = solver.getInfo()
+    # A^T y as one sum per column over its entries in order, which is the
+    # order scipy's matvec sums them in
+    y = np.array(solution.row_dual)
+    column = np.repeat(np.arange(n), np.diff(A.indptr))
     return SimplexResult(
         x=np.array(solution.col_value),
         objective=float(info.objective_function_value),
         iterations=int(info.simplex_iteration_count),
-        reduced=cost - A.T @ np.array(solution.row_dual),
+        reduced=cost - np.bincount(column, A.data * y[A.indices], minlength=n),
     )

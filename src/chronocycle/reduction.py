@@ -15,9 +15,10 @@ that the block below made negative is cleared, because its coboundary
 column reduces to zero, and apparent pairs (a simplex whose earliest cofacet
 has it as youngest facet) are read off with array operations.  The
 cofacets of every row come from the block's CSR, which a counting sort
-builds (scipy's CSC to CSR conversion), not a sort.  Only the few remaining
-columns are reduced, as packed uint64 words (bit j % 64 of word j // 64 for
-cofacet j).  A column addition XORs the words from the pivot's word on, or,
+builds from the face index, not a sort: scipy's compiled ``csr_tocsc``,
+called on the face index's arrays with no ``scipy.sparse`` package import.
+Only the few remaining columns are reduced, as packed uint64 words (bit
+j % 64 of word j // 64 for cofacet j).  A column addition XORs the words from the pivot's word on, or,
 when the owner was an apparent pair and so never reduced, flips the owner's
 own cofacet bits; either way it costs the words it touches, not the block
 width.  The pairing's result is an owner array: the pivot row of each block
@@ -51,6 +52,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._extensions import _scipy_extension
 from .complexes import Chain, Filtration
 
 
@@ -224,6 +226,25 @@ class _DimReduction:
         return self._v_cache[j]
 
 
+def _cofacets(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block's CSR arrays (cofacets, indptr): row i's cofacets are
+    ``cofacets[indptr[i]:indptr[i + 1]]``, ascending.  The face index is the
+    block's CSC, which read as rows is the CSR of its transpose, so scipy's
+    compiled ``csr_tocsc``, the counting sort that scipy's CSC to CSR
+    conversion runs, turns it into the block's CSR."""
+    n_cols, k = faces.shape
+    # int32, the face index's own type, wherever the entries can be counted in it
+    index = np.int32 if faces.size < 2**31 else np.int64
+    indptr = np.empty(n_rows + 1, dtype=index)
+    cofacets = np.empty(faces.size, dtype=index)
+    _scipy_extension("sparse/_sparsetools").csr_tocsc(
+        n_cols, n_rows, np.arange(0, faces.size + 1, k, dtype=index),
+        faces.ravel().astype(index, copy=False), np.ones(faces.size, dtype=bool),
+        indptr, cofacets, np.empty(faces.size, dtype=bool),
+    )
+    return cofacets, indptr
+
+
 # words the pivot search scans at once past the current pivot's word; each
 # further window doubles, so a near pivot never scans the whole tail
 _FIRST_WINDOW = 64
@@ -233,26 +254,17 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     """Pivot row of every column of one boundary block (-1 where none).
 
     Reduces the coboundary: column i of the anti-transposed block lists the
-    cofacets of row simplex i, and its pivot is its earliest cofacet.  Rows
-    where ``cleared`` is set are skipped; apparent pairs are taken without
-    reduction.  The other columns are reduced as packed uint64 words, bit
-    j % 64 of word j // 64 standing for cofacet j, so the pivot is the lowest
-    set bit.  An addition XORs the words from the pivot's word on; an owner
-    that was never reduced (an apparent pair) is added by flipping the bits
-    of its own cofacets, so no column is built for it.
+    cofacets of row simplex i, read from the block's CSR (``_cofacets``),
+    and its pivot is its earliest cofacet.  Rows where ``cleared`` is set
+    are skipped; apparent pairs are taken without reduction.  The other
+    columns are reduced as packed uint64 words, bit j % 64 of word j // 64
+    standing for cofacet j, so the pivot is the lowest set bit.  An addition
+    XORs the words from the pivot's word on; an owner that was never reduced
+    (an apparent pair) is added by flipping the bits of its own cofacets, so
+    no column is built for it.
     """
-    import scipy.sparse as sp
-
-    n_cols, k = faces.shape
-    n_rows = len(cleared)
-    # CSR of the block, cofacets of each row ascending: scipy's CSC to CSR
-    # conversion is a counting sort
-    block = sp.csc_matrix(
-        (np.ones(faces.size, dtype=bool), faces.ravel(),
-         np.arange(0, faces.size + 1, k)),
-        shape=(n_rows, n_cols),
-    ).tocsr()
-    cofacets, indptr = block.indices, block.indptr
+    n_cols = len(faces)
+    cofacets, indptr = _cofacets(faces, len(cleared))
     live = np.flatnonzero((indptr[1:] > indptr[:-1]) & ~cleared)
     earliest = cofacets[indptr[live]]
     # an apparent pair: the earliest cofacet's youngest facet is the row

@@ -256,7 +256,9 @@ def split_w_solve(A, cost, c0, tie_tol=1e-9):
     """Reference for ``lp.solve``: the split formulation [I, -I, -A, A] over
     (c+, c-, w+, w-), every variable nonnegative, in the same two HiGHS
     passes (the cost, then sum_j (1 + j) |c_j| over the variables whose
-    pass-1 reduced cost is zero).  Returns c."""
+    pass-1 reduced cost is zero).  ``A`` is any CSC matrix with ``indptr``,
+    ``indices``, ``data`` and ``shape``.  Returns c."""
+    A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
     m, q = A.shape
     eye = sp.identity(m, format="csc")
     A_std = sp.hstack([eye, -eye, -A, A], format="csc")

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -496,6 +497,25 @@ def test_failed_command_leaves_no_product_of_its_own(tmp_path):
     assert not os.path.exists(os.path.join(out, "embedding.json"))
 
 
+def test_relaxed_policies_refuse_essential_classes(pipeline_dir, tmp_path,
+                                                   capsys):
+    # H0 always has an essential class, which has no death to relax from:
+    # fraction and absolute refuse it, so optimize --dim 0 needs full
+    out = str(tmp_path)
+    for product in ("embedding.json", "diagram.json"):
+        shutil.copy(os.path.join(pipeline_dir, product), out)
+    args = ["optimize", "--out-dir", out, "--subsample", "30", "--dim", "0",
+            "--kinds", "length"]
+    path = os.path.join(out, "representatives.json")
+    assert main([*args, "--policy", "full"]) == 0
+    assert os.path.exists(path)
+    for policy in ("fraction:0.7", "absolute:0.5"):
+        capsys.readouterr()
+        assert main([*args, "--policy", policy]) == 2
+        assert "essential classes" in capsys.readouterr().err
+        assert not os.path.exists(path)
+
+
 def test_optimize_solver_stall_is_exit_three(pipeline_dir, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverStalled("solver stalled")
@@ -633,9 +653,42 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert os.path.exists(os.path.join(out, "representatives.json"))
 
 
-# A tiny LP: x - w = -1 with w free, optimum x = 0, w = 1
-TINY_LP = ("np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([-1.0]),"
-           " n_free=1")
+def readme_commands():
+    """README's subcommand lines, as argument lists without ``--out-dir run``."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        lines = re.findall(r"^chronocycle +(\w+ .*)$", fh.read(), re.M)
+    commands = [line.split() for line in lines]
+    for argv in commands:
+        at = argv.index("--out-dir")
+        del argv[at:at + 2]
+    return commands
+
+
+def test_readme_commands_load_no_scipy_sparse_package(tmp_path):
+    # ph and optimize call scipy's compiled sparse kernels and HiGHS
+    # bindings, each loaded from its own file: of scipy.sparse, only
+    # _sparsetools is loaded, and no package import runs
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["synth", "embed", "ph",
+                                              "optimize", "export"]
+    out = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from chronocycle.cli import main;"
+         "d, commands = sys.argv[1], json.loads(sys.argv[2]);"
+         "assert all(main(argv + ['--out-dir', d]) == 0 for argv in commands);"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
+         out, json.dumps(commands[:4])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "['scipy.sparse._sparsetools']"
+    assert os.path.exists(os.path.join(out, "representatives.json"))
+
+
+# A tiny LP: x - w = -1 with w free, optimum x = 0, w = 1; A as CSC arrays
+TINY_LP = ("np.array([1.0, 0.0]), CSC(np.array([0, 1, 2]), np.array([0, 0]),"
+           " np.array([1.0, -1.0]), (1, 2)), np.array([-1.0]), n_free=1")
 
 
 def run_script(script):
@@ -651,6 +704,7 @@ def test_first_solve_loads_highs_without_scipy_optimize():
     lines = run_script(f"""
 import sys
 import numpy as np
+from chronocycle.complexes import CSC
 from chronocycle.lpsolver import revised_simplex
 print(revised_simplex({TINY_LP}).x)
 print([m for m in {HEAVY_SCIPY} if m in sys.modules])
@@ -671,6 +725,7 @@ def test_solver_uses_the_bindings_scipy_optimize_loaded():
     lines = run_script(f"""
 import numpy as np
 from scipy.optimize._highspy import _core
+from chronocycle.complexes import CSC
 from chronocycle.lpsolver import revised_simplex
 runs = []
 class Seen(_core._Highs):
@@ -690,6 +745,7 @@ def test_missing_highs_extension_is_an_import_error():
 import importlib.machinery, sys
 import numpy as np
 import scipy
+from chronocycle.complexes import CSC
 from chronocycle.lpsolver import revised_simplex
 importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
 try:
@@ -701,6 +757,52 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """)
     message, version, loaded = lines
     assert os.path.join("scipy", "optimize", "_highspy", "_core") in message
+    assert f"scipy {version}" in message
+    assert loaded == "[]"
+
+
+def test_reduction_loads_sparsetools_that_scipy_sparse_reuses():
+    # the pairing's transpose runs scipy's csr_tocsc from its extension
+    # file; a later import of scipy.sparse reuses that module object, and
+    # its CSC to CSR conversion still gives the right arrays
+    lines = run_script("""
+import sys
+import numpy as np
+import chronocycle as cc
+pc = cc.LabeledPointCloud(points=np.random.default_rng(0).random((20, 2)),
+                          labels=np.arange(20.0))
+dec = cc.reduce(cc.build_rips(pc, cc.RipsConfig(max_dim=1)))
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+tools = sys.modules["scipy.sparse._sparsetools"]
+import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+print(_sparsetools is tools)
+m = sp.csc_matrix(np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0]])).tocsr()
+print(m.indptr.tolist(), m.indices.tolist(), m.data.tolist())
+""")
+    assert lines == ["['scipy.sparse._sparsetools']", "True",
+                     "[0, 2, 4] [1, 2, 0, 2] [1.0, 2.0, 3.0, 4.0]"]
+
+
+def test_missing_sparsetools_extension_is_an_import_error():
+    # no file matches: the first reduction raises, with no fallback to the
+    # scipy.sparse package import
+    lines = run_script("""
+import importlib.machinery, sys
+import numpy as np
+import scipy
+import chronocycle as cc
+f = cc.Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
+importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+try:
+    cc.reduce(f)
+except ImportError as err:
+    print(err)
+print(scipy.__version__)
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+""")
+    message, version, loaded = lines
+    assert os.path.join("scipy", "sparse", "_sparsetools") in message
     assert f"scipy {version}" in message
     assert loaded == "[]"
 

@@ -174,8 +174,10 @@ def test_free_column_unbounded():
 
 def assert_same_as_linprog(cost, A, b, n_free):
     # revised_simplex calls HiGHS through scipy's private bindings with the
-    # options linprog(method="highs-ds") passes: the results must not drift
+    # options linprog(method="highs-ds") passes: the results must not drift.
+    # A is any CSC matrix; linprog gets scipy's over the same arrays
     res = revised_simplex(cost, A, b, n_free=n_free)
+    A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
     bounds = np.zeros((len(cost), 2))
     bounds[:, 1] = np.inf
     bounds[len(cost) - n_free :, 0] = -np.inf

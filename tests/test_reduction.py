@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from chronocycle.embedding import LabeledPointCloud
 from chronocycle.reduction import (
     _FIRST_WINDOW,
     _DimReduction,
+    _cofacets,
     _cohomology_pairing,
     diagram_to_json,
     full_diagram,
@@ -339,6 +341,34 @@ def test_packed_pairing_matches_int_bitsets(n, p, width, seed):
     got = _cohomology_pairing(faces, cleared)
     assert got.dtype == np.int64
     assert got.tolist() == int_cohomology_pairing(faces, cleared).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rows=st.integers(min_value=3, max_value=40),
+    n_cols=st.integers(min_value=0, max_value=60),
+    k=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(n_rows=5, n_cols=0, k=2, seed=0)
+@example(n_rows=40, n_cols=1, k=3, seed=0)  # 37 rows without a cofacet
+def test_cofacets_are_scipys_csr(n_rows, n_cols, k, seed):
+    # each column's k distinct face rows, in no particular order, as the
+    # face index holds them; rows that no column names have no cofacet
+    rng = np.random.default_rng(seed)
+    faces = np.argsort(rng.random((n_cols, n_rows)), axis=1)[:, :k]
+    faces = faces.astype(np.int32)
+    faces.flags.writeable = False
+    cofacets, indptr = _cofacets(faces, n_rows)
+    csr = sp.csc_matrix(
+        (np.ones(faces.size, dtype=bool), faces.ravel(),
+         np.arange(0, faces.size + 1, k)),
+        shape=(n_rows, n_cols),
+    ).tocsr()
+    assert indptr.tolist() == csr.indptr.tolist()
+    assert cofacets.tolist() == csr.indices.tolist()
+    unnamed = ~np.isin(np.arange(n_rows), faces)
+    assert (np.diff(indptr) == 0).tolist() == unnamed.tolist()
 
 
 def test_positive_columns_share_one_empty_log():

@@ -6,6 +6,12 @@ bindings (``scipy.optimize._highspy._core``) and the sparse matrix kernels
 would first run that package's import: ``scipy.optimize`` loads
 ``scipy.spatial``, ``scipy.linalg`` and ``scipy.special``, and
 ``scipy.sparse`` about 60 modules, none of which the pipeline uses.
+
+The loader still runs ``import scipy``, though ``importlib`` alone could
+find its directory and version: ``scipy/__init__.py`` runs
+``scipy._distributor_init``, the hook for distributors' init code such as
+BLAS/LAPACK initialization, and no wheel's two extensions are verified to
+load without it.
 """
 
 from __future__ import annotations

@@ -424,7 +424,8 @@ def cmd_export(cfg: PipelineConfig) -> int:
 # subcommand -> (help line, the PipelineConfig fields it takes as flags)
 _RIPS = ("max_dim", "max_radius", "subsample", "simplex_cap")
 _SUBCOMMANDS = {
-    "synth": ("generate a synthetic series CSV", ("kind", "n", "t_end", "sigma")),
+    "synth": ("generate a synthetic series CSV",
+              ("kind", "n", "t_end", "sigma", "seed")),
     "embed": ("sliding-window embedding of a series",
               ("input", "threshold_fraction", "tau_count", "tau_min", "tau_max",
                "d", "tau")),
@@ -450,7 +451,8 @@ _HELP = {
 
 @functools.cache
 def make_parser() -> _Parser:
-    """Each subcommand takes --config, --out-dir, --seed and its own fields.
+    """Each subcommand takes --config, --out-dir and its own fields; synth's
+    include --seed, which no other subcommand reads.
     Flag values stay strings: build_config parses them as config values.
     Built once per process: each parse makes a fresh namespace, so no call
     sees another's flags."""
@@ -458,7 +460,7 @@ def make_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, fields) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, help=help_line)
-        for name in ("config", "out_dir", "seed", *fields):
+        for name in ("config", "out_dir", *fields):
             flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
             sub.add_argument(flag, dest=name, help=_HELP.get(name))
     return parser

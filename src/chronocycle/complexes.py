@@ -40,7 +40,8 @@ order.  It is the only face lookup and the one boundary representation:
 the closure check, orientation, a chain's boundary and the persistence
 reduction read it, and each boundary block is built from it, uncached, for
 the columns at hand (all of them, or the cycle LP's free columns), as a
-plain ``CSC`` record of three arrays.
+table of the same form: each column's face rows, ascending, with their
+signs.
 """
 
 from __future__ import annotations
@@ -441,42 +442,32 @@ class Filtration:
         return self._faces[p]
 
 
-@dataclass(eq=False)
-class CSC:
-    """A sparse matrix as compressed sparse columns: column j's row indices
-    are ``indices[indptr[j]:indptr[j + 1]]`` and its values the same slice
-    of ``data``.  These are the three arrays HiGHS takes, and the ones a
-    scipy ``csc_matrix`` holds."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-
 @dataclass
 class BoundaryMatrix:
     """A block of the boundary operator from (p+1)-simplices to p-simplices.
 
     Row i is the p-simplex ``rows[i]`` and column j the (p+1)-simplex
     ``cols[j]``, both global ids: the rows are all p-simplices in
-    filtration order, the columns those the block was built for.  In F2
-    mode all entries are 1; in real mode the face dropping vertex i has
-    entry (-1)**i.  ``csc`` holds the block, each column's rows ascending;
-    ``matrix`` is the same block as a scipy ``csc_matrix`` over its arrays,
+    filtration order, the columns those the block was built for.  Like the
+    face index, the block is a table: ``faces[j]`` holds column j's p + 2
+    local rows, ascending, and ``signs[j]`` its matching entries, all 1 in
+    F2 mode and (-1)**i for the face dropping vertex i in real mode.
+    ``matrix`` is the same block as a scipy ``csc_matrix`` over the table,
     built when read.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    csc: CSC
+    faces: np.ndarray
+    signs: np.ndarray
 
     @property
     def matrix(self) -> sp.csc_matrix:
         import scipy.sparse as sp
 
-        a = self.csc
-        return sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+        q, k = self.faces.shape
+        return sp.csc_matrix((self.signs.ravel(), self.faces.ravel(),
+                              np.arange(0, k * q + 1, k)), shape=(len(self.rows), q))
 
 
 def _face_signs(k: int, mode: str) -> np.ndarray:
@@ -489,20 +480,17 @@ def _face_signs(k: int, mode: str) -> np.ndarray:
 def _boundary_columns(f: Filtration, p: int, cols, mode: str) -> BoundaryMatrix:
     """The boundary block of the (p+1)-simplices at local positions ``cols``
     (an int array or a slice, in the order given) over all p-simplices,
-    read from the face index."""
+    read from the face index with each column's rows sorted."""
     if p < 0:
         raise ValueError("no boundary below dimension 0")
     faces = f.faces(p + 1)[cols]
-    n, k = faces.shape
-    # canonical CSC: row indices ascending within each column
     by_row = np.argsort(faces, axis=1)
-    block = CSC(
-        indptr=np.arange(0, k * n + 1, k),
-        indices=np.take_along_axis(faces, by_row, axis=1).ravel(),
-        data=_face_signs(k, mode)[by_row].ravel(),
-        shape=(f.n_simplices(p), n),
+    return BoundaryMatrix(
+        rows=f.dim_indices(p),
+        cols=f.dim_indices(p + 1)[cols],
+        faces=np.take_along_axis(faces, by_row, axis=1),
+        signs=_face_signs(faces.shape[1], mode)[by_row],
     )
-    return BoundaryMatrix(rows=f.dim_indices(p), cols=f.dim_indices(p + 1)[cols], csc=block)
 
 
 def boundary_matrix(f: Filtration, p: int, mode: str = F2) -> BoundaryMatrix:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CSC, BoundaryMatrix, Chain, Filtration, _positions, orient_chain
+from .complexes import BoundaryMatrix, Chain, Filtration, _positions, orient_chain
 from .lpsolver import SolverStalled, revised_simplex
 from .reduction import ReducedDecomposition
 from .weights import WeightMatrix
@@ -34,14 +34,26 @@ ROUND_TOL = 1e-6
 TIE_TOL = 1e-9     # reduced costs at most this (relative) count as zero
 
 
+@dataclass(eq=False)
+class CSC:
+    """Compressed sparse columns, the arrays HiGHS takes as they are: column
+    j's rows are ``indices[indptr[j]:indptr[j + 1]]`` and its values the
+    same slice of ``data``.  Built here only, for the solver."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
 @dataclass
 class CycleLP:
     """The class at its relaxed birth b', in local positions: row i is P[i],
     and on the optimization's path P is the alive prefix, the first
-    m = len(P) p-simplices in filtration order.  A is a plain CSC record
-    that holds each free column's p + 2 face rows, ascending and all below
-    m, with the signs (-1)**i; c0's nonzeros are the lifted initial cycle's
-    rows and signs."""
+    m = len(P) p-simplices in filtration order.  A is CSC over the boundary
+    block's face table: each free column's p + 2 rows, ascending and all
+    below m, with the block's signs; c0's nonzeros are the lifted initial
+    cycle's rows and signs."""
 
     P: np.ndarray          # global indices of admissible p-simplices
     A: CSC                 # signed boundary, rows over P, one column per free simplex
@@ -100,18 +112,16 @@ def build_lp(
     One table of each p-simplex's row in P, -1 outside it, maps the face
     rows of Qhat's columns to A's and the lift's local positions to c0's."""
     P = np.asarray(P, dtype=int)
-    k = c0.dim + 2  # faces per column
     lifted = orient_chain(c0, f)
     row = np.full(f.n_simplices(c0.dim), -1)
     row[_positions(P, c0.dim, f)] = np.arange(len(P))
-    _positions(Qhat, c0.dim + 1, f)  # raises for an id that is no (p+1)-simplex
     at = _lookup(Qhat, bd.cols, "a column of bd")
-    faces = row[bd.csc.indices.reshape(-1, k)[at]]
+    faces = row[bd.faces[at]]
     if np.any(faces < 0):  # closure: every face of a free simplex is admissible
         raise ValueError("free column has faces outside P")
-    signs = bd.csc.data.reshape(-1, k)[at]
-    A = CSC(np.arange(0, faces.size + 1, k), faces.ravel(), signs.ravel(),
-            (len(P), len(at)))
+    q, k = faces.shape
+    A = CSC(np.arange(0, faces.size + 1, k), faces.ravel(), bd.signs[at].ravel(),
+            (len(P), q))
     c0_rows = row[_positions(lifted.entries, lifted.dim, f)]
     if np.any(c0_rows < 0):
         raise ValueError("initial cycle not supported inside P")
@@ -120,27 +130,17 @@ def build_lp(
     return CycleLP(P=P, A=A, c0=c0_vec, cost=W.column_costs)
 
 
-def _standard_form(lp: CycleLP):
-    """[I, -I, -A] over (c+, c-, w), with w the q trailing free columns."""
-    A = lp.A
+def _standard_form(A: CSC, plus: np.ndarray, minus: np.ndarray) -> CSC:
+    """[I, -I, -A] over (c+, c-, w): the c+ columns of the rows ``plus``, the
+    c- columns of the rows ``minus``, and w the q trailing free columns."""
     m, q = A.shape
-    A_std = CSC(
-        indptr=np.concatenate([np.arange(2 * m), A.indptr + 2 * m]),
-        indices=np.concatenate([np.arange(m), np.arange(m), A.indices]),
-        data=np.concatenate([np.ones(m), np.full(m, -1.0), -A.data]),
-        shape=(m, 2 * m + q),
+    units = len(plus) + len(minus)
+    return CSC(
+        indptr=np.concatenate([np.arange(units), A.indptr + units]),
+        indices=np.concatenate([plus, minus, A.indices]),
+        data=np.concatenate([np.ones(len(plus)), np.full(len(minus), -1.0), -A.data]),
+        shape=(m, units + q),
     )
-    cost_std = np.concatenate([lp.cost, lp.cost, np.zeros(q)])
-    return A_std, cost_std
-
-
-def _columns(A: CSC, keep: np.ndarray) -> CSC:
-    """The columns of A where the mask ``keep`` is set, in order."""
-    counts = np.diff(A.indptr)
-    entries = np.repeat(keep, counts)
-    kept = counts[keep]
-    return CSC(np.concatenate([[0], np.cumsum(kept)]), A.indices[entries],
-               A.data[entries], (A.shape[0], len(kept)))
 
 
 def solve(lp: CycleLP) -> CycleSolution:
@@ -157,13 +157,15 @@ def solve(lp: CycleLP) -> CycleSolution:
     status or a residual out of tolerance raises ``SolverStalled``.
     """
     m, q = lp.A.shape
-    A_std, cost_std = _standard_form(lp)
-    first = revised_simplex(cost_std, A_std, lp.c0, n_free=q)
+    rows = np.arange(m)
+    cost_std = np.concatenate([lp.cost, lp.cost, np.zeros(q)])
+    first = revised_simplex(cost_std, _standard_form(lp.A, rows, rows), lp.c0, n_free=q)
     face = first.reduced <= TIE_TOL * (1 + float(np.max(cost_std, initial=0)))
     face[2 * m :] = True
-    rank = np.arange(1, m + 1, dtype=float)
-    tie_cost = np.concatenate([rank, rank, np.zeros(q)])
-    second = revised_simplex(tie_cost[face], _columns(A_std, face), lp.c0, n_free=q)
+    plus, minus = np.flatnonzero(face[:m]), np.flatnonzero(face[m : 2 * m])
+    tie_cost = np.concatenate([plus + 1.0, minus + 1.0, np.zeros(q)])
+    second = revised_simplex(tie_cost, _standard_form(lp.A, plus, minus), lp.c0,
+                             n_free=q)
     x = np.zeros(len(cost_std))
     x[face] = second.x
 
@@ -220,9 +222,8 @@ def oracle_optimal(P, Qhat, c0: Chain, W: WeightMatrix, bd: BoundaryMatrix,
 
     masks = np.zeros((1, n_words), dtype=np.uint64)
     masks[0] = _pack_column(row[_lookup(c0.support, bd.rows, "a p-simplex")], n_words)
-    A = bd.csc
     for j in _lookup(Qhat, bd.cols, "a column of bd"):
-        col = _pack_column(row[A.indices[A.indptr[j] : A.indptr[j + 1]]], n_words)
+        col = _pack_column(row[bd.faces[j]], n_words)
         masks = np.vstack([masks, masks ^ col[None, :]])
 
     cost = np.zeros(64 * n_words)

@@ -48,7 +48,7 @@ class SimplexResult:
 def revised_simplex(cost, A, b, n_free: int = 0) -> SimplexResult:
     """One fresh HiGHS solve; the last ``n_free`` of the n columns are free.
     ``A`` is any CSC matrix with ``indptr``, ``indices``, ``data`` and
-    ``shape`` (a ``complexes.CSC`` record, or a scipy ``csc_matrix``), whose
+    ``shape`` (an ``lp.CSC`` record, or a scipy ``csc_matrix``), whose
     arrays HiGHS takes as they are.  The bindings are loaded from their
     extension file on the first call: ``import chronocycle`` does not load
     them, a run that solves no LP never does, and no call imports a scipy

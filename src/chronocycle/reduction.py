@@ -432,7 +432,7 @@ class ReducedDecomposition:
     def check_rv(self, p: int) -> bool:
         """Re-multiply: boundary * V == R on the p-block."""
         blk = self.blocks[p]
-        raw = [sum(1 << i for i in row) for row in blk.faces.tolist()]
+        raw = [_bitset(row) for row in blk.faces.tolist()]
         for j in range(len(blk.cols)):
             v = blk.v_column(j)
             acc = 0

@@ -266,7 +266,7 @@ def test_config_hash_inside_quotes_is_kept(tmp_path):
 
 _RIPS_FLAGS = {"--max-dim", "--max-radius", "--subsample", "--simplex-cap"}
 FLAGS = {
-    "synth": {"--kind", "--n", "--t-end", "--sigma"},
+    "synth": {"--kind", "--n", "--t-end", "--sigma", "--seed"},
     "embed": {"--input", "--threshold-fraction", "--tau-count", "--tau-min",
               "--tau-max", "--d", "--tau"},
     "ph": _RIPS_FLAGS,
@@ -287,7 +287,20 @@ def test_subcommand_flags_are_pinned():
     assert set(subs) == set(FLAGS)
     for command, flags in FLAGS.items():
         got = {opt for a in subs[command]._actions for opt in a.option_strings}
-        assert got == {"-h", "--help", "--config", "--out-dir", "--seed", *flags}
+        assert got == {"-h", "--help", "--config", "--out-dir", *flags}
+
+
+def test_only_synth_takes_seed(tmp_path, capsys):
+    # the seed draws synth's noise and no other subcommand reads it, so only
+    # synth has the flag; a config file may still set it for any of them
+    out = str(tmp_path)
+    assert run(["synth", "--out-dir", out, "--n", "64", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert run(["embed", "--out-dir", out, "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    conf = tmp_path / "seed.conf"
+    conf.write_text("seed = 3\n")
+    assert run(["embed", "--out-dir", out, "--config", str(conf)]) == 0
 
 
 def _field(flag):
@@ -311,7 +324,7 @@ def test_flags_and_config_keys_parse_alike(tmp_path):
     conf = tmp_path / "one.conf"
     fields = set()
     for command, flags in FLAGS.items():
-        for flag in sorted({"--out-dir", "--seed", *flags}):
+        for flag in sorted({"--out-dir", *flags}):
             key = _field(flag)
             fields.add(key)
             by_flag = cli.build_config(
@@ -704,7 +717,7 @@ def test_first_solve_loads_highs_without_scipy_optimize():
     lines = run_script(f"""
 import sys
 import numpy as np
-from chronocycle.complexes import CSC
+from chronocycle.lp import CSC
 from chronocycle.lpsolver import revised_simplex
 print(revised_simplex({TINY_LP}).x)
 print([m for m in {HEAVY_SCIPY} if m in sys.modules])
@@ -725,7 +738,7 @@ def test_solver_uses_the_bindings_scipy_optimize_loaded():
     lines = run_script(f"""
 import numpy as np
 from scipy.optimize._highspy import _core
-from chronocycle.complexes import CSC
+from chronocycle.lp import CSC
 from chronocycle.lpsolver import revised_simplex
 runs = []
 class Seen(_core._Highs):
@@ -745,7 +758,7 @@ def test_missing_highs_extension_is_an_import_error():
 import importlib.machinery, sys
 import numpy as np
 import scipy
-from chronocycle.complexes import CSC
+from chronocycle.lp import CSC
 from chronocycle.lpsolver import revised_simplex
 importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
 try:

@@ -19,7 +19,13 @@ from chronocycle.complexes import (
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.rips import RipsConfig, build_rips
 
-from _f2 import assert_same_filtration, naive_boundary, shuffled_levels, simplex_index
+from _f2 import (
+    assert_same_filtration,
+    dense_boundary,
+    naive_boundary,
+    shuffled_levels,
+    simplex_index,
+)
 from conftest import bent_cylinder, labeled_complex
 
 
@@ -226,6 +232,37 @@ def test_boundary_matrix_matches_reference_loop():
                 assert np.array_equal(got.indptr, ref.indptr)
                 assert np.array_equal(got.indices, ref.indices)
                 assert np.array_equal(got.data, ref.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=9),
+    max_dim=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_boundary_block_is_a_face_table(n, max_dim, seed):
+    # column j of a block is the table row faces[j], ascending, with its
+    # entries signs[j]; the scipy matrix read from it is the dense block
+    pts = 2.0 * np.random.default_rng(seed).random((n, 2))
+    pc = LabeledPointCloud(points=pts, labels=np.arange(n, dtype=float))
+    f = build_rips(pc, RipsConfig(max_dim=max_dim))
+    for p in range(f.max_dim + 1):
+        dense, rows, cols = dense_boundary(f, p)
+        for mode in (F2, REAL):
+            bd = boundary_matrix(f, p, mode)
+            assert bd.rows.tolist() == rows and bd.cols.tolist() == cols
+            assert bd.faces.shape == bd.signs.shape == (len(cols), p + 2)
+            assert np.all(np.diff(bd.faces, axis=1) > 0)
+            for j, g in enumerate(cols):
+                assert bd.faces[j].tolist() == np.flatnonzero(dense[:, j]).tolist()
+                want = naive_boundary(f, {g: 1}, mode)
+                assert dict(zip(bd.rows[bd.faces[j]].tolist(),
+                                bd.signs[j].tolist())) == want
+            matrix = bd.matrix
+            assert matrix.has_sorted_indices and matrix.shape == dense.shape
+            assert np.array_equal(np.abs(matrix.toarray()), dense)
+            if mode == F2:
+                assert np.all(bd.signs == 1)
 
 
 def test_chain_boundary_builds_only_its_own_columns(monkeypatch):

@@ -11,6 +11,8 @@ from chronocycle.complexes import (
 )
 from chronocycle.embedding import LabeledPointCloud
 from chronocycle.lp import (
+    CSC,
+    _standard_form,
     build_lp,
     oracle_optimal,
     restrict_sets,
@@ -255,6 +257,51 @@ def test_build_lp_refuses_a_block_without_a_free_column():
     short = _boundary_columns(f, 1, cols[1:], REAL)
     with pytest.raises(ValueError, match=rf"id {Qhat[0]} is not a column of bd"):
         build_lp(P, Qhat, pr.initial_rep, W, short, f)
+
+
+def gather_columns(A, keep):
+    """The columns of the CSC arrays A where the mask ``keep`` is set, in
+    order, gathered entry by entry."""
+    counts = np.diff(A.indptr)
+    entries = np.repeat(keep, counts)
+    kept = counts[keep]
+    return CSC(np.concatenate([[0], np.cumsum(kept)]), A.indices[entries],
+               A.data[entries], (A.shape[0], len(kept)))
+
+
+def dense(A):
+    out = np.zeros(A.shape)
+    for j in range(A.shape[1]):
+        at = slice(A.indptr[j], A.indptr[j + 1])
+        out[A.indices[at], j] += A.data[at]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_standard_form_cut_is_the_gather_of_the_full_form(seed):
+    # pass 2's form, built from the unit columns of the face's rows, is the
+    # full form [I, -I, -A] with the columns off the face gathered away
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 10))
+    for q in (0, 1, 6):
+        faces = np.array([np.sort(rng.choice(m, 3, replace=False)) for _ in range(q)],
+                         dtype=np.int64).reshape(q, 3)
+        A = CSC(np.arange(0, 3 * q + 1, 3), faces.ravel(),
+                rng.choice([-1.0, 1.0], 3 * q), (m, q))
+        rows = np.arange(m)
+        full = _standard_form(A, rows, rows)
+        assert np.array_equal(dense(full), np.hstack([np.eye(m), -np.eye(m), -dense(A)]))
+        none, every = np.zeros(m, bool), np.ones(m, bool)
+        halves = [(rng.random(m) < 0.5, rng.random(m) < 0.5) for _ in range(4)]
+        halves += [(none, every), (every, none), (none, none), (every, every)]
+        for plus, minus in halves:
+            face = np.concatenate([plus, minus, np.ones(q, bool)])
+            got = _standard_form(A, np.flatnonzero(plus), np.flatnonzero(minus))
+            want = gather_columns(full, face)
+            assert got.shape == want.shape == (m, int(face.sum()))
+            for a in ("indptr", "indices", "data"):
+                assert getattr(got, a).dtype == getattr(want, a).dtype
+                assert np.array_equal(getattr(got, a), getattr(want, a))
 
 
 def test_oracle_rejects_large_enumeration():

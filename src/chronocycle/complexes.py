@@ -1,11 +1,12 @@
 """Simplicial complexes, filtrations, chains and boundary operators.
 
 A filtration holds its simplices in one form: per dimension, a read-only
-int array with a row of vertex ids per simplex, in lexicographic row order,
-validated when it is built.  A simplex is an address into those arrays: its
-dimension and its row.  The public face of a simplex is a strictly
-increasing tuple of vertex ids, read off its row one at a time through the
-``simplices`` view; there is no separate simplex type.
+int32 or int64 array with a row of vertex ids per simplex, in
+lexicographic row order, validated when it is built.  A simplex is an
+address into those arrays: its dimension and its row.  The public face of
+a simplex is a strictly increasing tuple of vertex ids, read off its row
+one at a time through the ``simplices`` view; there is no separate simplex
+type.
 
 Chains are sparse maps from filtration index to coefficient; the
 coefficient domain is either F2 (persistence reduction) or the reals
@@ -17,11 +18,11 @@ filtration order, and each pair is signed to cancel on it.
 
 A filtration sorts, deduplicates and finds faces by one rank key per
 simplex: its vertices' ranks among the 0-simplices (for Rips, the ids
-themselves) read as one base-n number, or as a record where that would not
-fit in int64; keys ascend in lexicographic row order.  A dimension whose
-keys strictly increase, as every Rips level's do, is in order and has no
-duplicates; any other is sorted by one stable sort of its keys, after which
-duplicates are adjacent.
+themselves) read as one base-n int64 number, or as a record where that
+would not fit in int64; keys ascend in lexicographic row order.  A
+dimension whose keys strictly increase, as every Rips level's do, is in
+order and has no duplicates; any other is sorted by one stable sort of its
+keys, after which duplicates are adjacent.
 
 The faces are found before the order is known, each at its key among the
 keys below, as lexicographic positions.  They give the order a second key
@@ -136,10 +137,14 @@ def _levels_of_pairs(simplices) -> list[tuple[np.ndarray, list[float]]]:
 
 
 def _vertex_ids(s) -> np.ndarray:
-    """The vertex array as int64; raises unless every id is an integer."""
+    """The vertex array as int32 or int64: as given where it is either
+    (int32 is the Rips builder's), else as int64; raises unless every id
+    is an integer."""
     s = np.asarray(s)
+    if s.dtype == np.int32 or s.dtype == np.int64:
+        return s
     if s.dtype.kind in "iu":
-        return s.astype(np.int64, copy=False)
+        return s.astype(np.int64)
     try:
         with np.errstate(invalid="ignore"):
             ids = s.astype(np.int64)
@@ -178,11 +183,15 @@ def _rank_keys(rank, n: int) -> np.ndarray:
     """One key per row of vertex ranks 0..n-1, given as columns ``rank``,
     ascending in lexicographic row order: the ranks read as base-n digits
     while that number fits in int64, else the rows as records, which
-    ``argsort`` and ``searchsorted`` compare field by field."""
+    ``argsort`` and ``searchsorted`` compare field by field.  The keys are
+    a new int64 array whatever the ranks' dtype (int32 ranks would wrap),
+    and the ranks are never written: they may be a filtration's own
+    vertex array (see ``_ranks``)."""
     if n ** len(rank) <= np.iinfo(np.int64).max:
-        keys = rank[0]
+        keys = rank[0].astype(np.int64)
         for r in rank[1:]:
-            keys = keys * n + r
+            keys *= n
+            keys += r
         return keys
     keys = np.empty(len(rank[0]), dtype=[(f"r{c}", np.int64) for c in range(len(rank))])
     for c, r in enumerate(rank):
@@ -194,7 +203,8 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
     """Validated (vertices, values, ranks, keys) per dimension, ascending,
     each with its rows in lexicographic order: as they came where the keys
     strictly increase, else by one stable ``argsort`` of the keys, after
-    which duplicates are adjacent equal keys.  A dimension given as one
+    which duplicates are adjacent equal keys.  The top dimension's keys are
+    None: no face is looked up among them.  A dimension given as one
     read-only vertex array that needs no sort is that array, not a copy; a
     writeable one is copied, so a caller's writeable array is never kept."""
     by_width: dict[int, list] = {}
@@ -208,8 +218,8 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
         raise ValueError("empty filtration")
     if 0 in by_width:
         raise ValueError("simplex needs at least one vertex")
-    out = []
-    for p, width in enumerate(sorted(by_width)):
+    out, widths = [], sorted(by_width)
+    for p, width in enumerate(widths):
         parts = by_width[width]
         if len(parts) == 1:
             (s, v), = parts
@@ -243,16 +253,19 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
                 )
         elif len(parts) == 1 and s.flags.writeable:
             s = s.copy()
-        out.append((s, v, rank, keys))
+        # faces are looked up among the keys below; the top level's keys
+        # were needed only for the order check above
+        out.append((s, v, rank, keys if width < widths[-1] else None))
     return out
 
 
-def _lex_faces(levels) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+def _lex_faces(levels) -> tuple[list[Optional[np.ndarray]], list[np.ndarray]]:
     """Per dimension p >= 1, the faces of each p-simplex as lexicographic
-    positions among the (p-1)-simplices, one array per deleted vertex
-    position, and the position of its youngest face (one with the largest
-    value) where the simplex enters with that face, else -1.  Raises for a
-    missing face and for a face whose value exceeds its coface's.
+    positions among the (p-1)-simplices, an (m, p+1) int32 array whose
+    column i holds the face dropping vertex position i, and the position of
+    its youngest face (one with the largest value) where the simplex enters
+    with that face, else -1.  Raises for a missing face and for a face
+    whose value exceeds its coface's.
 
     Each face is read at its rank key among the keys of the level below:
     through a dense int32 table over all n**p keys while that is at most
@@ -262,7 +275,7 @@ def _lex_faces(levels) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
     that order.
     """
     n = len(levels[0][0])
-    faces, youngest = [[]], [np.full(n, -1)]
+    faces, youngest = [None], [np.full(n, -1)]
     for p in range(1, len(levels)):
         s, value, rank, _ = levels[p]
         _, below, _, keys = levels[p - 1]
@@ -271,7 +284,7 @@ def _lex_faces(levels) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
         if n**p <= _TABLE_MAX_ENTRIES:
             table = np.full(n**p, -1, dtype=np.int32)
             table[keys] = np.arange(m, dtype=np.int32)
-        cols = []
+        found = np.empty((len(s), p + 1), dtype=np.int32)
         for i in range(p + 1):
             face_keys = _rank_keys([rank[:, c] for c in range(p + 1) if c != i], n)
             if table is not None:
@@ -279,10 +292,11 @@ def _lex_faces(levels) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
             else:
                 at = np.minimum(np.searchsorted(keys, face_keys), m - 1)
                 pos = np.where(keys[at] == face_keys, at, -1)
+            del face_keys
             missing = np.flatnonzero(pos < 0)
             if len(missing):
                 raise _missing_face(tuple(s[missing[0]].tolist()), i)
-            face_value = np.take(below, pos)
+            face_value = below[pos]  # not np.take: no intp copy of pos
             late = np.flatnonzero(face_value > value)
             if len(late):
                 j = late[0]
@@ -294,11 +308,13 @@ def _lex_faces(levels) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
             if i == 0:
                 top, young = face_value, pos
             else:
-                young = np.where(face_value > top, pos, young)
+                np.copyto(young, pos, where=face_value > top)
                 np.maximum(top, face_value, out=top)
-            cols.append(pos)
-        faces.append(cols)
-        youngest.append(np.where(value > top, -1, young))
+            del face_value
+            found[:, i] = pos
+        faces.append(found)
+        young[value > top] = -1
+        youngest.append(young)
     return faces, youngest
 
 
@@ -308,16 +324,18 @@ def _value_ranks(levels, youngest) -> np.ndarray:
     lexicographic order.  A simplex that enters with its youngest face takes
     that face's rank; the others (the vertices, and any simplex that enters
     after all its faces) are ranked by ``searchsorted`` among their own
-    distinct values, which are all of the filtration's."""
+    distinct values, which are all of the filtration's.  The ranks are of
+    the narrowest unsigned type that holds them: uint16 up to 65,536
+    distinct values."""
     fresh = [np.flatnonzero(y < 0) for y in youngest]
     distinct = np.unique(np.concatenate([v[f] for (_, v, *_), f in zip(levels, fresh)]))
-    rank = np.empty(sum(map(len, youngest)), dtype=np.intp)
+    rank = np.empty(sum(map(len, youngest)), dtype=np.min_scalar_type(len(distinct) - 1))
     start, below = 0, None
     for (_, v, *_), y, f in zip(levels, youngest, fresh):
         r = rank[start:start + len(v)]
         if below is not None:
             # a fresh simplex's -1 reads a rank that the next line overwrites
-            np.take(below, y, out=r)
+            r[:] = below[y]
         r[f] = np.searchsorted(distinct, v[f])
         start, below = start + len(v), r
     return rank
@@ -327,7 +345,7 @@ def _counting_order(rank: np.ndarray) -> np.ndarray:
     """The stable order of non-negative int ranks: an LSD radix sort on
     16-bit digits, each digit ordered by a stable ``argsort`` of its uint16
     keys, which numpy does by counting.  Ranks below 2**16 take one pass."""
-    order = np.argsort(rank.astype(np.uint16), kind="stable")
+    order = np.argsort(rank.astype(np.uint16, copy=False), kind="stable")
     for shift in range(16, int(rank.max()).bit_length(), 16):
         digit = (rank[order] >> shift).astype(np.uint16)
         order = order[np.argsort(digit, kind="stable")]
@@ -340,11 +358,13 @@ class Filtration:
     The order is (value, dimension, lexicographic vertices), which puts every
     face before its cofaces and makes downstream reduction deterministic.
     A filtration is built from either ``simplices``, an iterable of
-    (vertices, value) pairs in any order, or ``levels``, one (m, k+1) vertex
-    array and m values per dimension (the Rips builder's output).  Both are
-    turned into the one form kept: ``levels[p]``, a read-only (m, p+1) int64
-    array of the p-simplices in lexicographic row order.  A vertex array
-    handed over read-only, already in that order and the only one of its
+    (vertices, value) pairs in any order, or ``levels``, an iterable of one
+    (m, k+1) vertex array and m values per dimension (the Rips builder's
+    output), read once.  Both are turned into the one form kept:
+    ``levels[p]``, a read-only (m, p+1) int array of the p-simplices in
+    lexicographic row order, int32 or int64 as given (the Rips builder's
+    are int32) and int64 from any other dtype.  A vertex array handed over
+    read-only, already in that order and the only one of its
     dimension, is kept as it is: handing it over read-only promises that
     nothing writes it later, which is how the Rips builder's arrays are kept
     without a copy.  A writeable array is never kept; it is copied, or
@@ -367,14 +387,16 @@ class Filtration:
     non-negative integer ids, no duplicates), closure under faces and value
     monotonicity, and keeps the face index that check computes:
     ``faces(p)`` gives, for each p-simplex, the local (p-1)-index of each
-    face, as int32; vertex ids stay int64, so ids such as ``10**10`` work.
+    face, as int32.  Rank keys are formed in int64 whatever the vertex
+    dtype, and ids of other dtypes become int64, so ids such as ``10**10``
+    work.
     """
 
     def __init__(
         self,
         simplices: Optional[Iterable[tuple[Iterable[int], float]]] = None,
         *,
-        levels: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
+        levels: Optional[Iterable[tuple[np.ndarray, np.ndarray]]] = None,
     ):
         if (simplices is None) == (levels is None):
             raise TypeError("pass exactly one of simplices and levels")
@@ -382,8 +404,10 @@ class Filtration:
             levels = _levels_of_pairs(simplices)
         levels = _sorted_levels(levels)
         lex_faces, youngest = _lex_faces(levels)
-        order = _counting_order(_value_ranks(levels, youngest))
-        del youngest
+        rank = _value_ranks(levels, youngest)
+        del youngest  # freed before the sort's buffers are taken
+        order = _counting_order(rank)
+        del rank
         counts = [len(s) for s, *_ in levels]
         start = np.cumsum([0] + counts)
         self.values: np.ndarray = np.concatenate([v for _, v, *_ in levels])[order]
@@ -392,12 +416,16 @@ class Filtration:
         )[order]
         self.max_dim: int = len(levels) - 1
         self.levels: tuple[np.ndarray, ...] = tuple(_read_only(s) for s, *_ in levels)
-        self.rows: np.ndarray = (order - start[self.dims]).astype(np.int32)
+        # global indices of the p-simplices, in filtration order, per
+        # dimension, and each one's row: its position in the concatenated
+        # levels less its level's start, subtracted in place in int32
+        self._by_dim: list[np.ndarray] = []
+        self.rows: np.ndarray = order.astype(np.int32)
+        for p, first in enumerate(start[:-1].tolist()):
+            in_p = self.dims == p
+            np.subtract(self.rows, first, out=self.rows, where=in_p)
+            self._by_dim.append(np.flatnonzero(in_p))
         self.simplices = SimplexView(self.levels, self.dims, self.rows)
-        # global indices of the p-simplices, in filtration order, per dimension
-        self._by_dim: list[np.ndarray] = [
-            np.flatnonzero(self.dims == p) for p in range(self.max_dim + 1)
-        ]
         for a in (self.values, self.dims, self.rows, *self._by_dim):
             a.flags.writeable = False
         del levels, order  # not held through the face index's gathers
@@ -407,14 +435,20 @@ class Filtration:
     def _face_index(lex_faces, lex) -> list[np.ndarray]:
         """The face index in filtration order: per dimension, the face
         columns of lexicographic positions gathered into filtration order,
-        each position mapped to its face's local index."""
+        each position mapped to its face's local index.  Drops each
+        dimension's positions from ``lex_faces`` once read: one block of
+        the face index's size, freed whole, which the pairing's cofacet
+        array (the same size) can then take instead of growing the heap.
+        The gathers index with int32 arrays directly: ``np.take`` would
+        first copy each into an intp array twice its size."""
         faces = [_empty_faces(0)]
         for p in range(1, len(lex)):
             local = np.empty(len(lex[p - 1]), dtype=np.int32)
             local[lex[p - 1]] = np.arange(len(local), dtype=np.int32)
             out = np.empty((len(lex[p]), p + 1), dtype=np.int32)
-            for i, pos in enumerate(lex_faces[p]):
-                out[:, i] = np.take(np.take(local, pos), lex[p])
+            for i in range(p + 1):
+                out[:, i] = local[lex_faces[p][:, i]][lex[p]]
+            lex_faces[p] = None
             faces.append(_read_only(out))
         return faces
 

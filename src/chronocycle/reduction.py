@@ -18,11 +18,12 @@ cofacets of every row come from the block's CSR, which a counting sort
 builds from the face index, not a sort: scipy's compiled ``csr_tocsc``,
 called on the face index's arrays with no ``scipy.sparse`` package import.
 Only the few remaining columns are reduced, as packed uint64 words (bit
-j % 64 of word j // 64 for cofacet j).  A column addition XORs the words from the pivot's word on, or,
-when the owner was an apparent pair and so never reduced, flips the owner's
-own cofacet bits; either way it costs the words it touches, not the block
-width.  The pairing's result is an owner array: the pivot row of each block
-column, -1 where there is none.
+j % 64 of word j // 64 for cofacet j).  A reduced column is kept as its
+nonzero words and their positions.  A column addition XORs those words in,
+or, when the owner was an apparent pair and so never reduced, flips the
+owner's own cofacet bits; either way it costs the words it touches, not
+the block width.  The pairing's result is an owner array: the pivot row of
+each block column, -1 where there is none.
 
 Representatives.  The standard left-to-right reduction R = boundary * V over
 F2 then runs on the negative columns only, which gives exactly the full
@@ -37,9 +38,11 @@ their boundaries, so none is stored: a block's ``r`` is a read-only view
 that keeps only the columns reduced one at a time, each adding only pivot
 owners to its left, and reads any other negative column off the face index
 when it is asked for (a positive column reads 0).  V is kept as a log of
-column additions and expanded on demand.  Until its V column is first
-needed (essential classes, ``check_rv``), a column not reduced one at a
-time shares one empty log; the same column reduction then computes its own.
+column additions and expanded on demand.  Like ``r``, a block's ``adds``
+is a read-only view that stores only the logs computed: until its V column
+is first needed (essential classes, ``check_rv``), a column not reduced one
+at a time reads one shared empty log; the same column reduction then
+computes its own.
 """
 
 from __future__ import annotations
@@ -121,6 +124,45 @@ class _RColumns(Sequence):
         yield from repeat(0, len(self) - start)
 
 
+class _AddLogs(Sequence):
+    """Read-only sequence of one block's V logs: for each column, the
+    columns added to it, in order.
+
+    Only the columns whose log has been computed hold one, in the dict
+    ``logs`` that the reduction fills; every other column reads the one
+    shared empty list ``_unreduced``.  Iteration yields the runs of
+    unreduced columns with ``itertools.repeat``, so no list of all columns
+    is ever held.  Compares equal to a list or tuple of the same logs.
+    """
+
+    __slots__ = ("_n", "_logs", "_unreduced")
+
+    def __init__(self, n: int, logs: dict[int, list[int]]):
+        self._n, self._logs, self._unreduced = n, logs, []
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j: int) -> list[int]:
+        j = range(self._n)[j]  # negative indices count from the end
+        return self._logs.get(j, self._unreduced)
+
+    def __iter__(self):
+        start = 0
+        for j in sorted(self._logs):
+            yield from repeat(self._unreduced, j - start)
+            yield self._logs[j]
+            start = j + 1
+        yield from repeat(self._unreduced, self._n - start)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_AddLogs, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
 class _DimReduction:
     """Reduction state for one boundary block (columns = p-simplices).
 
@@ -130,15 +172,16 @@ class _DimReduction:
     owns each row, -1 where none does.  ``r`` is the read-only view of the R
     columns (``_RColumns``): it stores an int only for the negative columns
     reduced one at a time, and reads the others off the face index.
-    ``adds`` has one entry per column.  The positive columns (R = 0) and the
-    negative ones reduced as they stand share one empty ``adds`` entry,
-    ``_unreduced``, until their V column is first asked for and their own
-    log is filled in.
+    ``adds`` is the read-only view of the V logs (``_AddLogs``), one per
+    column: it stores a log only for the columns reduced one at a time and
+    those whose V column has been asked for.  The positive columns (R = 0)
+    and the negative ones reduced as they stand read one shared empty log
+    until their V column is first asked for and their own log is filled in.
     """
 
     __slots__ = (
         "rows", "cols", "faces", "r", "adds", "low", "pivot_of_row",
-        "_unreduced", "_v_cache",
+        "_logs", "_v_cache",
     )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
@@ -148,9 +191,8 @@ class _DimReduction:
         self.faces = faces  # local row of each face of each column
         low.flags.writeable = False
         self.low = low
-        n = len(cols)
-        self._unreduced: list[int] = []
-        self.adds: list[list[int]] = [self._unreduced] * n
+        self._logs: dict[int, list[int]] = {}
+        self.adds = _AddLogs(len(cols), self._logs)
         self._v_cache: dict[int, int] = {}
         negative = np.flatnonzero(low >= 0)
         owned = low[negative]
@@ -183,7 +225,7 @@ class _DimReduction:
                     f"but the cohomology pairing gives row {lw}"
                 )
             reduced[j] = col
-            self.adds[j] = added
+            self._logs[j] = added
 
     def _reduce_column(self, j: int) -> tuple[int, list[int]]:
         """Left-to-right reduction of boundary column j by the columns before
@@ -210,9 +252,10 @@ class _DimReduction:
         stack = [j]
         while stack:
             k = stack[-1]
-            if self.adds[k] is self._unreduced:
-                self.adds[k] = self._reduce_column(k)[1]
-            pending = [a for a in self.adds[k] if a not in self._v_cache]
+            log = self._logs.get(k)
+            if log is None:
+                log = self._logs[k] = self._reduce_column(k)[1]
+            pending = [a for a in log if a not in self._v_cache]
             if pending:
                 stack.extend(pending)
                 continue
@@ -220,7 +263,7 @@ class _DimReduction:
             if k in self._v_cache:
                 continue
             col = 1 << k
-            for a in self.adds[k]:
+            for a in log:
                 col ^= self._v_cache[a]
             self._v_cache[k] = col
         return self._v_cache[j]
@@ -258,10 +301,11 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
     and its pivot is its earliest cofacet.  Rows where ``cleared`` is set
     are skipped; apparent pairs are taken without reduction.  The other
     columns are reduced as packed uint64 words, bit j % 64 of word j // 64
-    standing for cofacet j, so the pivot is the lowest set bit.  An addition
-    XORs the words from the pivot's word on; an owner that was never reduced
-    (an apparent pair) is added by flipping the bits of its own cofacets, so
-    no column is built for it.
+    standing for cofacet j, so the pivot is the lowest set bit.  A reduced
+    column keeps only its nonzero words, with their positions, and an
+    addition XORs them in; an owner that was never reduced (an apparent
+    pair) is added by flipping the bits of its own cofacets, so no column is
+    built for it.
     """
     n_cols = len(faces)
     cofacets, indptr = _cofacets(faces, len(cleared))
@@ -300,7 +344,7 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
             size *= 2
         return -1
 
-    reduced: dict[int, np.ndarray] = {}
+    reduced: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i in live[~apparent][::-1].tolist():
         col = np.zeros(nwords, dtype=np.uint64)
         add_cofacets(col, i)
@@ -309,12 +353,12 @@ def _cohomology_pairing(faces: np.ndarray, cleared: np.ndarray) -> np.ndarray:
             other = int(owner[j])
             if other < 0:
                 owner[j] = i
-                reduced[i] = col
+                at = np.flatnonzero(col)
+                reduced[i] = at, col[at]
                 break
-            # neither column has a bit before the pivot's word
             if other in reduced:
-                w = j >> 6
-                col[w:] ^= reduced[other][w:]
+                at, words = reduced[other]
+                col[at] ^= words
             else:
                 add_cofacets(col, other)
             j = next_pivot(col, j)

@@ -6,14 +6,17 @@ look up time labels directly.  Simplices are built up to dimension
 max_dim + 1 so that homology through max_dim is computable.
 
 The expansion works on int arrays, as Ripser enumerates cofacets from
-adjacency without simplex objects: each dimension is an (m, k+1) array of
-vertex ids in lexicographic order.  The next dimension grows in row chunks:
-the adjacency rows of each simplex's vertices, restricted to vertices above
-the simplex's last one, are ANDed, and ``np.nonzero`` lists the new
-simplices, again in lexicographic order, written straight into the next
-level's array.  A new simplex's value is the larger of its parent's value
-and its distances to the new vertex: starting from the parent's value, one
-flat gather from the distance matrix per old vertex raises it in place.
+adjacency without simplex objects: each dimension is an (m, k+1) int32
+array of vertex ids (ids are below n) in lexicographic order.  The next
+dimension grows in row chunks: the adjacency rows of each simplex's
+vertices, restricted to vertices above the simplex's last one, are ANDed.
+Each mask row's popcount is the number of cofaces of its simplex, and
+``np.flatnonzero`` lists their new vertices, again in lexicographic order.
+The next level's old columns are the parent's columns repeated by those
+counts, with no array of parent rows.  A new simplex's value is the larger
+of its parent's value and its distances to the new vertex: the parent's
+value, repeated by the same counts, is raised in place by one flat gather
+from the distance matrix per old vertex, at a flat index formed in intp.
 
 Popcounting the same masks sizes the next level before it is built: with
 a ``cap``, ``build_rips`` counts each level first and raises instead of
@@ -89,8 +92,8 @@ def _graph(points, cfg: RipsConfig):
 
 
 def _cofaces(simp: np.ndarray, up: np.ndarray):
-    """Yield (first row, mask) per row chunk of the k-simplices ``simp``;
-    mask[r, v] says that appending vertex v to simplex first + r gives a
+    """Yield a mask per row chunk of the k-simplices ``simp``, in order;
+    mask[r, v] says that appending vertex v to the chunk's row r gives a
     (k+1)-simplex."""
     step = max(1, _CHUNK // up.shape[1])
     for start in range(0, len(simp), step):
@@ -98,13 +101,13 @@ def _cofaces(simp: np.ndarray, up: np.ndarray):
         mask = up[block[:, 0]]
         for i in range(1, block.shape[1]):
             mask &= up[block[:, i]]
-        yield start, mask
+        yield mask
 
 
 def _count(simp: np.ndarray, up: np.ndarray, limit: float = math.inf) -> int:
     """Number of (k+1)-simplices over ``simp``; stops early once past limit."""
     total = 0
-    for _, mask in _cofaces(simp, up):
+    for mask in _cofaces(simp, up):
         total += int(np.count_nonzero(mask))
         if total > limit:
             break
@@ -112,19 +115,24 @@ def _count(simp: np.ndarray, up: np.ndarray, limit: float = math.inf) -> int:
 
 
 def _expand(simp: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (k+1)-simplices over ``simp`` in lexicographic order, and for
-    each the row of its parent k-simplex."""
-    rows, verts = [], []
-    for start, mask in _cofaces(simp, up):
-        r, v = np.nonzero(mask)
-        rows.append(r + start)
-        verts.append(v)
-    rows = np.concatenate(rows)
-    out = np.empty((len(rows), simp.shape[1] + 1), dtype=simp.dtype)
-    for c in range(simp.shape[1]):  # a row gather into the strided slice is slower
-        np.take(simp[:, c], rows, out=out[:, c])
+    """The (k+1)-simplices over ``simp`` in lexicographic order, and the
+    number of them over each k-simplex, their parent: the parent columns
+    repeated by those counts, with the new vertex last."""
+    n = up.shape[1]
+    counts, verts = [], []
+    for mask in _cofaces(simp, up):
+        c = np.count_nonzero(mask, axis=1)
+        # flat mask positions less their row's offset: the new vertices
+        v = np.flatnonzero(mask)
+        v -= np.repeat(np.arange(0, len(c) * n, n), c)
+        counts.append(c)
+        verts.append(v.astype(simp.dtype))
+    counts = np.concatenate(counts)
+    out = np.empty((int(counts.sum()), simp.shape[1] + 1), dtype=simp.dtype)
+    for c in range(simp.shape[1]):
+        out[:, c] = np.repeat(simp[:, c], counts)
     np.concatenate(verts, out=out[:, -1])
-    return out, rows
+    return out, counts
 
 
 def _check_budget(total: int, cap: Optional[int]):
@@ -143,7 +151,7 @@ def _rips_levels(points, cfg: RipsConfig,
     dist, up = _graph(points, cfg)
     n = len(dist)
     flat = dist.ravel()
-    simp, vals = np.arange(n, dtype=np.int64)[:, None], np.zeros(n)
+    simp, vals = np.arange(n, dtype=np.int32)[:, None], np.zeros(n)
     simp.flags.writeable = False
     levels = [(simp, vals)]
     total = n
@@ -151,15 +159,20 @@ def _rips_levels(points, cfg: RipsConfig,
         if cap is not None:
             total += _count(simp, up, cap - total)
             _check_budget(total, cap)
-        simp, parent = _expand(simp, up)
+        simp, counts = _expand(simp, up)
         if len(simp) == 0:
             break
         # the parent's value, raised by each distance to the new vertex:
-        # one flat gather per column, no (m, k) block of distances
-        vals = vals[parent]
+        # one flat gather per column, no (m, k) block of distances; the
+        # flat index is formed in intp, since n * n may pass int32
+        vals = np.repeat(vals, counts)
         last = simp[:, -1]
+        at = np.empty(len(simp), dtype=np.intp)
         for c in range(simp.shape[1] - 1):
-            np.maximum(vals, flat[simp[:, c] * n + last], out=vals)
+            np.multiply(simp[:, c], n, out=at, dtype=np.intp)
+            at += last
+            np.maximum(vals, np.take(flat, at), out=vals)
+        del at
         simp.flags.writeable = False
         levels.append((simp, vals))
     return levels
@@ -169,7 +182,7 @@ def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
     """Exact per-dimension simplex counts of build_rips; the top dimension
     is counted and never built."""
     _, up = _graph(points, cfg)
-    simp = np.arange(len(up), dtype=np.int64)[:, None]
+    simp = np.arange(len(up), dtype=np.int32)[:, None]
     counts = [len(simp)]
     for k in range(cfg.max_dim + 1):  # count the (k+1)-simplices
         if k:  # build the k-simplices just counted, to count the next level
@@ -184,5 +197,7 @@ def count_rips_simplices(points, cfg: RipsConfig) -> list[int]:
 def build_rips(pc, cfg: RipsConfig, cap: Optional[int] = None) -> Filtration:
     """Rips filtration of the cloud; vertices at 0, simplex value = diameter.
     With a cap, raises ``ValueError`` instead of building more simplices."""
-    # expanded here, so the work is the Rips builder's and not Filtration's
-    return Filtration(levels=_rips_levels(pc.points, cfg, cap))
+    # expanded here, so the work is the Rips builder's and not Filtration's;
+    # handed over as an iterator, which drops the list once read, so the
+    # filtration frees the level values as soon as it has ordered them
+    return Filtration(levels=iter(_rips_levels(pc.points, cfg, cap)))

@@ -356,9 +356,48 @@ def test_wide_filtration_finds_faces_past_int64_keys(spread):
         assert_same_filtration(f, build(items))
         assert_same_filtration(f, build(shuffled))
         assert_same_filtration(f, build(levels=shuffled_levels(items, rng)))
+        # int32 ids on the record-key path
+        assert_same_filtration(f, build(levels=int32_levels(shuffled_levels(items, rng))))
         # record keys are always sorted, so a repeat is found wherever it is
         with pytest.raises(ValueError, match="duplicate"):
             build(shuffled[:500] + [wide_row] + shuffled[500:])
+
+
+def int32_levels(levels, writeable=True):
+    """The same levels with int32 vertex arrays."""
+    out = []
+    for verts, values in levels:
+        verts = np.asarray(verts, dtype=np.int32)
+        verts.flags.writeable = writeable
+        out.append((verts, values))
+    return out
+
+
+def test_int32_ids_past_int32_keys():
+    # 1,400 vertices: a triangle's base-n rank key passes 2**31 from vertex
+    # 1,096 on, so keys made from int32 ranks must be widened to int64 before
+    # they are combined, or the order check and the sort would wrap
+    n = 1400
+    tops = [(0, 1, n - 1), (5, 1096, 1097), (n - 3, n - 2, n - 1)]
+    faces = {s: k - 1.0 for t in tops for k in (2, 3) for s in itertools.combinations(t, k)}
+    items = [((v,), 0.0) for v in range(n)] + sorted(faces.items())
+    assert 1096 * n**2 > 2**31
+    f = Filtration(items)
+    assert f.simplices[-1] == (n - 3, n - 2, n - 1)
+    rng = np.random.default_rng(4)
+    in_order = [
+        (np.array([s for s, _ in items if len(s) == k]), [v for s, v in items if len(s) == k])
+        for k in (1, 2, 3)
+    ]
+    for build in (Filtration, rank_key_filtration):
+        assert_same_filtration(f, build(levels=int32_levels(shuffled_levels(items, rng))))
+        # one read-only int32 array per dimension, in order, is kept as it is
+        given = int32_levels(in_order, writeable=False)
+        g = build(levels=given)
+        assert_same_filtration(f, g)
+        for (verts, _), kept in zip(given, g.levels):
+            assert kept.dtype == np.int32 and np.shares_memory(verts, kept)
+    assert all(a.dtype == np.int64 for a in f.levels)
 
 
 def test_wide_filtration_reports_a_missing_face():

@@ -275,6 +275,7 @@ def test_filtration_keeps_the_rips_levels(monkeypatch):
     assert len(built) == len(f.levels) == 4
     for (simp, _), kept in zip(built, f.levels):
         assert not simp.flags.writeable
+        assert simp.dtype == kept.dtype == np.int32
         assert np.shares_memory(simp, kept)
     # a writeable copy of the same levels is copied, and stays writeable
     given = [(simp.copy(), vals.copy()) for simp, vals in built]
@@ -283,3 +284,41 @@ def test_filtration_keeps_the_rips_levels(monkeypatch):
     for (simp, _), kept in zip(given, g.levels):
         assert simp.flags.writeable and not kept.flags.writeable
         assert not np.shares_memory(simp, kept)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_expansion_across_chunks(monkeypatch, tied):
+    # one mask row per chunk: the edge and triangle levels span many chunks,
+    # and the chunk of any simplex without cofaces (the last vertex's, at
+    # least) is all zero
+    rng = np.random.default_rng(11)
+    n = 13
+    pts = rng.integers(0, 3, size=(n, 2)).astype(float) if tied else rng.random((n, 2))
+    for max_dim, radius in ((1, None), (2, 1.5 if tied else 0.6)):
+        cfg = RipsConfig(max_dim=max_dim, max_radius=ENCLOSING if radius is None else radius)
+        whole = rips._rips_levels(pts, cfg)
+        counts = count_rips_simplices(pts, cfg)
+        monkeypatch.setattr(rips, "_CHUNK", 1)
+        chunked = rips._rips_levels(pts, cfg)
+        assert count_rips_simplices(pts, cfg) == counts
+        _, up = rips._graph(pts, cfg)
+        for simp, _ in chunked[:2]:
+            masks = list(rips._cofaces(simp, up))
+            assert len(masks) == len(simp) and not all(m.any() for m in masks)
+        monkeypatch.undo()
+        assert len(chunked) == len(whole) == len(counts) > 2
+        dist = squareform(pdist(pts))
+        cutoff = dist.max() if radius is None else radius
+        for (simp, vals), (simp_w, vals_w), m in zip(chunked, whole, counts):
+            assert simp.dtype == simp_w.dtype == np.int32
+            assert simp.tobytes() == simp_w.tobytes() and vals.tobytes() == vals_w.tobytes()
+            # every vertex set of this size whose pairwise distances are all
+            # within the radius, in lexicographic order, at its diameter
+            level = []
+            for c in combinations(range(n), simp.shape[1]):
+                d = [dist[a, b] for a, b in combinations(c, 2)]
+                if all(x <= cutoff for x in d):
+                    level.append((c, max(d, default=0.0)))
+            assert len(simp) == m == len(level)
+            assert simp.tolist() == [list(c) for c, _ in level]
+            assert vals.tobytes() == np.array([v for _, v in level]).tobytes()

@@ -38,11 +38,11 @@ their boundaries, so none is stored: a block's ``r`` is a read-only view
 that keeps only the columns reduced one at a time, each adding only pivot
 owners to its left, and reads any other negative column off the face index
 when it is asked for (a positive column reads 0).  V is kept as a log of
-column additions and expanded on demand.  Like ``r``, a block's ``adds``
-is a read-only view that stores only the logs computed: until its V column
-is first needed (essential classes, ``check_rv``), a column not reduced one
-at a time reads one shared empty log; the same column reduction then
-computes its own.
+column additions and expanded on demand.  Only the logs computed are
+stored: those of the columns reduced one at a time, and those of the columns
+whose V column has been needed (essential classes, ``check_rv``), which the
+same column reduction computes then.  A block's ``adds`` is a live view of
+their values.
 """
 
 from __future__ import annotations
@@ -124,45 +124,6 @@ class _RColumns(Sequence):
         yield from repeat(0, len(self) - start)
 
 
-class _AddLogs(Sequence):
-    """Read-only sequence of one block's V logs: for each column, the
-    columns added to it, in order.
-
-    Only the columns whose log has been computed hold one, in the dict
-    ``logs`` that the reduction fills; every other column reads the one
-    shared empty list ``_unreduced``.  Iteration yields the runs of
-    unreduced columns with ``itertools.repeat``, so no list of all columns
-    is ever held.  Compares equal to a list or tuple of the same logs.
-    """
-
-    __slots__ = ("_n", "_logs", "_unreduced")
-
-    def __init__(self, n: int, logs: dict[int, list[int]]):
-        self._n, self._logs, self._unreduced = n, logs, []
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, j: int) -> list[int]:
-        j = range(self._n)[j]  # negative indices count from the end
-        return self._logs.get(j, self._unreduced)
-
-    def __iter__(self):
-        start = 0
-        for j in sorted(self._logs):
-            yield from repeat(self._unreduced, j - start)
-            yield self._logs[j]
-            start = j + 1
-        yield from repeat(self._unreduced, self._n - start)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (_AddLogs, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-
 class _DimReduction:
     """Reduction state for one boundary block (columns = p-simplices).
 
@@ -172,11 +133,10 @@ class _DimReduction:
     owns each row, -1 where none does.  ``r`` is the read-only view of the R
     columns (``_RColumns``): it stores an int only for the negative columns
     reduced one at a time, and reads the others off the face index.
-    ``adds`` is the read-only view of the V logs (``_AddLogs``), one per
-    column: it stores a log only for the columns reduced one at a time and
-    those whose V column has been asked for.  The positive columns (R = 0)
-    and the negative ones reduced as they stand read one shared empty log
-    until their V column is first asked for and their own log is filled in.
+    ``_logs`` maps a column to its V log, the columns added to it in order;
+    it holds a log only for the columns reduced one at a time and those
+    whose V column has been asked for.  ``adds`` is the live view of its
+    values.
     """
 
     __slots__ = (
@@ -192,7 +152,7 @@ class _DimReduction:
         low.flags.writeable = False
         self.low = low
         self._logs: dict[int, list[int]] = {}
-        self.adds = _AddLogs(len(cols), self._logs)
+        self.adds = self._logs.values()
         self._v_cache: dict[int, int] = {}
         negative = np.flatnonzero(low >= 0)
         owned = low[negative]
@@ -280,10 +240,11 @@ def _cofacets(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.int32 if faces.size < 2**31 else np.int64
     indptr = np.empty(n_rows + 1, dtype=index)
     cofacets = np.empty(faces.size, dtype=index)
+    # both the data in and out: every value written is a True copied from it
+    ones = np.ones(faces.size, dtype=bool)
     _scipy_extension("sparse/_sparsetools").csr_tocsc(
         n_cols, n_rows, np.arange(0, faces.size + 1, k, dtype=index),
-        faces.ravel().astype(index, copy=False), np.ones(faces.size, dtype=bool),
-        indptr, cofacets, np.empty(faces.size, dtype=bool),
+        faces.ravel().astype(index, copy=False), ones, indptr, cofacets, ones,
     )
     return cofacets, indptr
 

@@ -274,11 +274,11 @@ def assert_matches_full_reduction(f):
         blk = dec.blocks[p]
         assert list(blk.r) == r
         assert blk.low.tolist() == low
-        assert len(blk.adds) == len(adds)
+        assert len(blk.cols) == len(adds)
         # check_rv asks for every V column, positive ones on demand
         assert dec.check_reduced(p)
         assert dec.check_rv(p)
-        assert blk.adds == adds
+        assert [blk._logs.get(j, []) for j in range(len(blk.cols))] == adds
     # a fresh reduction: pairs() must not rely on check_rv's V logs
     for dim in range(f.max_dim + 1):
         got = [
@@ -372,13 +372,16 @@ def test_cofacets_are_scipys_csr(n_rows, n_cols, k, seed):
     assert (np.diff(indptr) == 0).tolist() == unnamed.tolist()
 
 
-def test_positive_columns_share_one_empty_log():
+def test_positive_columns_hold_no_log_until_asked():
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
     blk = reduce(f).blocks[2]
+    adds = full_reduction(f)[2][2]
     positive = [j for j, lw in enumerate(blk.low) if lw < 0]
     assert positive
-    assert len({id(blk.adds[j]) for j in positive}) == 1
-    assert all(blk.adds[j] == [] and blk.r[j] == 0 for j in positive)
+    assert all(j not in blk._logs and blk.r[j] == 0 for j in positive)
+    for j in positive:
+        blk.v_column(j)
+        assert blk._logs[j] == adds[j]
 
 
 @settings(max_examples=30, deadline=None)
@@ -412,16 +415,21 @@ def test_r_view_reads_stored_and_apparent_columns(n, max_dim, radius, seed):
             assert blk.r[j] == sum(1 << i for i in blk.faces[j].tolist())
         assert sorted(blk.r._reduced) == sorted(set(negative.tolist())
                                                 - set(apparent.tolist()))
-        # the V logs are a view as well: until a V column is asked for, only
-        # the columns reduced one at a time hold a log of their own
+        # until a V column is asked for, only the columns reduced one at a
+        # time hold a V log; adds is the live view of the logs' values
         adds = ref[p][2]
         assert not isinstance(blk.adds, list)
-        assert len(blk.adds) == len(adds)
-        assert sorted(blk.adds._logs) == sorted(blk.r._reduced)
-        assert list(blk.adds) == [blk.adds[j] for j in range(len(adds))]
-        assert blk.adds[-1] is blk.adds[len(adds) - 1]
-        with pytest.raises(IndexError):
-            blk.adds[len(adds)]
+        assert sorted(blk._logs) == sorted(blk.r._reduced)
+        assert all(blk._logs[j] == adds[j] for j in blk._logs)
+        assert len(blk.adds) == len(blk._logs)
+        rest = [j for j in range(len(adds)) if j not in blk._logs]
+        if rest:
+            j = rest[-1]
+            blk.v_column(j)
+            assert blk._logs[j] == adds[j]
+            # the view is live: it reads the log just computed
+            assert len(blk.adds) == len(blk._logs) > len(blk.r._reduced)
+            assert any(a is blk._logs[j] for a in blk.adds)
 
 
 def test_checks_and_chains_read_the_r_view():
@@ -472,8 +480,8 @@ def test_reducing_a_column_again_gives_its_r_and_log():
     checked = 0
     for blk in reduce(f).blocks.values():
         for j in np.flatnonzero(blk.low >= 0).tolist():
-            assert blk._reduce_column(j) == (blk.r[j], blk.adds[j])
-            checked += bool(blk.adds[j])
+            assert blk._reduce_column(j) == (blk.r[j], blk._logs.get(j, []))
+            checked += bool(blk._logs.get(j))
     assert checked
 
 
@@ -504,7 +512,7 @@ def assert_matches_negative_column_reduction(dec):
     for blk in dec.blocks.values():
         r, adds, pivot_of_row = negative_column_reduction(blk.faces, blk.low)
         assert list(blk.r) == r
-        assert blk.adds == adds
+        assert [blk._logs.get(j, []) for j in range(len(blk.cols))] == adds
         # the oracle's map as an array: row -> owning column, -1 for none
         expected = np.full(len(blk.rows), -1)
         expected[list(pivot_of_row)] = list(pivot_of_row.values())
@@ -538,10 +546,22 @@ def test_torus_blocks_match_the_all_columns_loop():
     dec = reduce(f)
     blk = dec.blocks[2]
     negative = np.flatnonzero(blk.low >= 0)
-    adds_nothing = sum(1 for j in negative.tolist() if not blk.adds[j])
+    adds_nothing = sum(1 for j in negative.tolist() if not blk._logs.get(j))
     assert len(negative) == 11_026 and adds_nothing == 10_931
     # the R view stores an int for the other 95 columns only
     assert len(blk.r._reduced) == 95
+    # the counts the benchmark's tracer reads off the blocks, which it reads
+    # after pairs(): columns, column additions and nonzero top R columns
+    assert sum(len(b.cols) for b in dec.blocks.values()) == 562_475
+
+    def additions():
+        return sum(len(a) for b in dec.blocks.values() for a in b.adds)
+
+    assert additions() == 478
+    dec.pairs(0)
+    dec.pairs(1)
+    assert additions() == 478
+    assert sum(1 for col in blk.r if col) == 11_026
     assert_matches_negative_column_reduction(dec)
 
 

@@ -239,6 +239,15 @@ def _fresh(cfg: PipelineConfig, name: str) -> str:
     return path
 
 
+def _read_series(cfg: PipelineConfig):
+    """The input series, ``out_dir/series.csv`` unless ``input`` names one."""
+    src = cfg.input or _path(cfg, "series.csv")
+    try:
+        return read_series_csv(src)
+    except OSError as exc:
+        raise DataError(f"cannot read series {src}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -256,11 +265,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 def cmd_embed(cfg: PipelineConfig) -> int:
     out = _fresh(cfg, "embedding.json")
-    src = cfg.input or _path(cfg, "series.csv")
-    try:
-        ts = read_series_csv(src)
-    except OSError as exc:
-        raise DataError(f"cannot read series {src}: {exc}")
+    ts = _read_series(cfg)
     s = spectrum(ts, cfg.threshold_fraction)
     d = cfg.d if cfg.d is not None else embedding_dimension(s)
     default = default_tau_grid(s, cfg.tau_count)
@@ -370,6 +375,10 @@ def _in_windows(times: np.ndarray, starts, span: float) -> np.ndarray:
 
 
 def cmd_export(cfg: PipelineConfig) -> int:
+    # an earlier export's tables go first, so none outlives its run's products
+    for name in os.listdir(cfg.out_dir):
+        if re.fullmatch(r"diagram\.csv|pca\.csv|overlay_\d+\.csv", name):
+            os.remove(_path(cfg, name))
     dia = read_json(_path(cfg, "diagram.json"))
     emb = read_json(_path(cfg, "embedding.json"))
     pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
@@ -399,11 +408,7 @@ def cmd_export(cfg: PipelineConfig) -> int:
     reps_path = _path(cfg, "representatives.json")
     if os.path.exists(reps_path):
         reps = read_json(reps_path)
-        series_path = cfg.input or _path(cfg, "series.csv")
-        try:
-            ts = read_series_csv(series_path)
-        except OSError as exc:
-            raise DataError(f"cannot read series {series_path}: {exc}")
+        ts = _read_series(cfg)
         span = (emb["d"] - 1) * emb["tau"]
         times = ts.times()
         samples = list(zip(times.tolist(), ts.values.tolist()))

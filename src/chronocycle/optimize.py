@@ -121,7 +121,7 @@ def _optimize_pair(
         if np.max(np.abs(sol.c - ints), initial=0.0) <= ROUND_TOL:
             entries = {int(lp.P[j]): 1 for j in np.flatnonzero(ints.astype(int) % 2)}
             cand = Chain(p, entries)
-            if p == 0 or not cand or not boundary(cand, f, F2):
+            if p == 0 or not boundary(cand, f, F2):
                 rounded = cand
         support = verts[np.searchsorted(P, sol.support)]  # P ascends
         dispersion = support_dispersion(support, labels) if len(support) else 0.0

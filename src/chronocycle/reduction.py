@@ -34,21 +34,20 @@ above every R column's pivot equals it, and the reduction raises if one does
 not.  Most negative columns are already reduced: as in Ripser, a column
 whose youngest face is its own pivot row needs no addition, because that
 row has one owner and no earlier column can claim it.  Their R columns are
-their boundaries, so none is stored: a block's ``r`` is a read-only view
-that keeps only the columns reduced one at a time, each adding only pivot
-owners to its left, and reads any other negative column off the face index
-when it is asked for (a positive column reads 0).  V is kept as a log of
-column additions and expanded on demand.  Only the logs computed are
-stored: those of the columns reduced one at a time, and those of the columns
-whose V column has been needed (essential classes, ``check_rv``), which the
-same column reduction computes then.  A block's ``adds`` is a live view of
-their values.
+their boundaries, so none is stored: a block keeps the R columns of only
+the columns reduced one at a time, each adding only pivot owners to its
+left, and ``r_column(j)`` reads any other negative column off the face
+index (a positive column reads 0), as ``v_column(j)`` reads V.  V is kept
+as a log of column additions and expanded on demand.  Only the logs
+computed are stored: those of the columns reduced one at a time, and those
+of the columns whose V column has been needed (essential classes,
+``check_rv``), which the same column reduction computes then.  A block's
+``adds`` is a live view of their values.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -85,63 +84,24 @@ def _bitset(rows) -> int:
     return col
 
 
-class _RColumns(Sequence):
-    """Read-only sequence of one block's R columns, each an int bitset over
-    the local rows.
-
-    Only the columns reduced one at a time are stored.  A negative column
-    reduced as it stands is its boundary, built from its row of the face
-    index when it is read; a positive column reads 0.  Iteration yields the
-    runs of zero columns with ``itertools.repeat`` and builds one int at a
-    time, so no list of all columns is ever held.
-    """
-
-    __slots__ = ("_faces", "_low", "_reduced")
-
-    def __init__(self, faces: np.ndarray, low: np.ndarray, reduced: dict[int, int]):
-        self._faces, self._low, self._reduced = faces, low, reduced
-
-    def __len__(self) -> int:
-        return len(self._low)
-
-    def __getitem__(self, j: int) -> int:
-        j = range(len(self))[j]  # negative indices count from the end
-        col = self._reduced.get(j)
-        if col is not None:
-            return col
-        if self._low.item(j) < 0:
-            return 0
-        return _bitset(self._faces[j].tolist())
-
-    def __iter__(self):
-        negative = np.flatnonzero(self._low >= 0)
-        start = 0
-        for j, rows in zip(negative.tolist(), self._faces[negative].tolist()):
-            yield from repeat(0, j - start)
-            col = self._reduced.get(j)
-            yield _bitset(rows) if col is None else col
-            start = j + 1
-        yield from repeat(0, len(self) - start)
-
-
 class _DimReduction:
     """Reduction state for one boundary block (columns = p-simplices).
 
     ``low`` is the cohomology pairing's owner array: read-only, the pivot row
     of each column, -1 where its reduced column is zero.  ``pivot_of_row`` is
     its read-only inverse, filled from it in one assignment: the column that
-    owns each row, -1 where none does.  ``r`` is the read-only view of the R
-    columns (``_RColumns``): it stores an int only for the negative columns
-    reduced one at a time, and reads the others off the face index.
-    ``_logs`` maps a column to its V log, the columns added to it in order;
-    it holds a log only for the columns reduced one at a time and those
-    whose V column has been asked for.  ``adds`` is the live view of its
-    values.
+    owns each row, -1 where none does.  ``r_column(j)`` is R column j, an int
+    bitset over the local rows, and ``r`` yields every R column in column
+    order; ``_reduced`` stores an int only for the negative columns reduced
+    one at a time, and the others are read off the face index.  ``_logs``
+    maps a column to its V log, the columns added to it in order; it holds a
+    log only for the columns reduced one at a time and those whose V column
+    has been asked for.  ``adds`` is the live view of its values.
     """
 
     __slots__ = (
-        "rows", "cols", "faces", "r", "adds", "low", "pivot_of_row",
-        "_logs", "_v_cache",
+        "rows", "cols", "faces", "adds", "low", "pivot_of_row",
+        "_reduced", "_logs", "_v_cache",
     )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
@@ -151,6 +111,7 @@ class _DimReduction:
         self.faces = faces  # local row of each face of each column
         low.flags.writeable = False
         self.low = low
+        self._reduced: dict[int, int] = {}
         self._logs: dict[int, list[int]] = {}
         self.adds = self._logs.values()
         self._v_cache: dict[int, int] = {}
@@ -168,11 +129,9 @@ class _DimReduction:
             )
         # a column whose youngest face is its own pivot row is reduced as it
         # stands: that row has one owner, so no earlier column claims it, and
-        # the view reads its R column off its faces
+        # r_column reads its R column off its faces
         ready = faces[negative].max(axis=1) == owned
         slow = negative[~ready]
-        reduced: dict[int, int] = {}
-        self.r = _RColumns(faces, low, reduced)
         # the others are reduced left to right, each by the earlier columns
         # only, as in the full reduction, so that a wrong pairing fails the
         # pivot check below as it would there
@@ -184,7 +143,7 @@ class _DimReduction:
                     f"column {j} reduces to pivot row {col.bit_length() - 1}, "
                     f"but the cohomology pairing gives row {lw}"
                 )
-            reduced[j] = col
+            self._reduced[j] = col
             self._logs[j] = added
 
     def _reduce_column(self, j: int) -> tuple[int, list[int]]:
@@ -199,9 +158,32 @@ class _DimReduction:
             other = int(self.pivot_of_row[col.bit_length() - 1])
             if not 0 <= other < j:
                 break
-            col ^= self.r[other]
+            col ^= self.r_column(other)
             added.append(other)
         return col, added
+
+    def r_column(self, j: int) -> int:
+        """Column j of R (bitset over local rows): the stored int of a column
+        reduced one at a time, else a negative column's boundary, else 0."""
+        if not 0 <= j < len(self.cols):
+            raise IndexError(f"column {j} outside 0..{len(self.cols) - 1}")
+        col = self._reduced.get(j)
+        if col is not None:
+            return col
+        return 0 if self.low.item(j) < 0 else _bitset(self.faces[j].tolist())
+
+    @property
+    def r(self):
+        """Every R column in column order, one int built at a time: zero runs
+        come from ``itertools.repeat``, so no list of all columns is held."""
+        negative = np.flatnonzero(self.low >= 0)
+        start = 0
+        for j, rows in zip(negative.tolist(), self.faces[negative].tolist()):
+            yield from repeat(0, j - start)
+            col = self._reduced.get(j)
+            yield _bitset(rows) if col is None else col
+            start = j + 1
+        yield from repeat(0, len(self.low) - start)
 
     def v_column(self, j: int) -> int:
         """Expand column j of V (bitset over local column indices)."""
@@ -365,7 +347,7 @@ class ReducedDecomposition:
     def r_chain(self, p: int, local_j: int) -> Chain:
         """Reduced column of the local_j-th p-simplex, as a (p-1)-chain."""
         blk = self.blocks[p]
-        return self._bits_to_chain(blk.r[local_j], blk.rows, p - 1)
+        return self._bits_to_chain(blk.r_column(local_j), blk.rows, p - 1)
 
     def v_chain(self, p: int, local_j: int) -> Chain:
         """V column of the local_j-th p-simplex, as a p-chain."""
@@ -445,7 +427,7 @@ class ReducedDecomposition:
                 lsb = v & -v
                 acc ^= raw[lsb.bit_length() - 1]
                 v ^= lsb
-            if acc != blk.r[j]:
+            if acc != blk.r_column(j):
                 return False
         return True
 

@@ -203,6 +203,47 @@ def test_non_finite_settings_are_usage_errors(tmp_path):
     assert not os.listdir(out)
 
 
+
+@pytest.mark.parametrize("args, message", [
+    (["embed", "--threshold-fraction", "0"], "threshold_fraction must be in"),
+    (["embed", "--threshold-fraction", "1.5"], "threshold_fraction must be in"),
+    (["embed", "--tau-count", "0"], "tau_count must be positive"),
+    (["embed", "--d", "0"], "d must be at least 1"),
+    (["ph", "--subsample", "1"], "subsample must be at least 2"),
+    (["ph", "--simplex-cap", "0"], "simplex_cap must be positive"),
+    (["synth", "--kind", "square"], "unknown synth kind 'square'"),
+    (["optimize", "--dim", "2"], "optimize_dim must lie within"),
+    (["optimize", "--dim", "-1"], "optimize_dim must lie within"),
+    (["optimize", "--kinds", ","], "kinds must name at least one"),
+])
+def test_out_of_range_settings_are_usage_errors(tmp_path, capsys, args, message):
+    out = str(tmp_path / "out")
+    assert run([*args, "--out-dir", out]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+    assert not os.path.exists(out)
+
+
+def test_embed_delay_range_must_ascend(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["synth", "--out-dir", out, "--n", "200"]) == 0
+    assert run(["embed", "--out-dir", out, "--tau-min", "2",
+                "--tau-max", "1"]) == 1
+    assert "tau_min must not exceed tau_max" in capsys.readouterr().err
+    assert os.listdir(out) == ["series.csv"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"points": [[0.0, 1.0]', "malformed JSON"),
+    ('{"points": [[0.0, 1.0]], "labels": [0.0]}', "fewer than 2 points"),
+])
+def test_unusable_embedding_is_a_data_error(tmp_path, capsys, text, message):
+    out = str(tmp_path)
+    with open(os.path.join(out, "embedding.json"), "w") as fh:
+        fh.write(text)
+    assert run(["ph", "--out-dir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "diagram.json"))
+
 def test_config_file(tmp_path, capsys):
     out = str(tmp_path)
     conf = tmp_path / "run.conf"
@@ -509,6 +550,62 @@ def test_failed_command_leaves_no_product_of_its_own(tmp_path):
     assert main(["embed", "--out-dir", out, "--input", missing]) == 2
     assert not os.path.exists(os.path.join(out, "embedding.json"))
 
+
+
+def test_export_writes_only_the_current_runs_tables(tmp_path, capsys):
+    # its own directory: pipeline_dir's products are shared by the module
+    out = str(tmp_path)
+    for args in (["synth", "--kind", "noisy_sine", "--n", "300", "--sigma",
+                  "0.05", "--seed", "3"],
+                 ["embed", "--tau-count", "60"],
+                 ["ph", "--subsample", "50", "--max-dim", "1"]):
+        assert main([*args, "--out-dir", out]) == 0
+    inputs = {"series.csv", "embedding.json", "diagram.json"}
+    # names export does not write stay, however close to its own
+    others = {"overlay_1.csv.bak", "my_overlay_0.csv", "overlay_x.csv"}
+    for name in others:
+        open(os.path.join(out, name), "w").close()
+
+    def tables():
+        return set(os.listdir(out)) - inputs - others - {"representatives.json"}
+
+    def overlays(n):
+        return {f"overlay_{i}.csv" for i in range(n)}
+
+    optimize = ["optimize", "--out-dir", out, "--subsample", "40"]
+    assert main([*optimize, "--kinds", "vertex,simplex,length"]) == 0
+    assert main(["export", "--out-dir", out]) == 0
+    classes = len(read(os.path.join(out, "representatives.json"))["classes"])
+    assert classes == 3
+    assert tables() == {"diagram.csv", "pca.csv"} | overlays(3)
+    # fewer classes: the overlays of the earlier run's other classes go
+    assert main([*optimize, "--kinds", "vertex"]) == 0
+    assert main(["export", "--out-dir", out]) == 0
+    assert tables() == {"diagram.csv", "pca.csv"} | overlays(1)
+    assert main([*optimize, "--kinds", "vertex,length"]) == 0
+    assert main(["export", "--out-dir", out]) == 0
+    assert tables() == {"diagram.csv", "pca.csv"} | overlays(2)
+    # no representatives: no overlay
+    assert main([*optimize, "--policy", "absolute:1000"]) == 2
+    assert main(["export", "--out-dir", out]) == 0
+    assert tables() == {"diagram.csv", "pca.csv"}
+    # representatives but no readable series: the run fails, with no
+    # overlay of an earlier run left
+    assert main([*optimize, "--kinds", "vertex,length"]) == 0
+    assert main(["export", "--out-dir", out]) == 0
+    os.rename(os.path.join(out, "series.csv"), os.path.join(out, "kept.csv"))
+    capsys.readouterr()
+    assert main(["export", "--out-dir", out]) == 2
+    assert "cannot read series" in capsys.readouterr().err
+    assert not tables() & overlays(2)
+    os.rename(os.path.join(out, "kept.csv"), os.path.join(out, "series.csv"))
+    # no diagram: export fails before it writes, and no table is left
+    assert main(["export", "--out-dir", out]) == 0
+    assert main(["ph", "--out-dir", out, "--simplex-cap", "100"]) == 2
+    assert main(["export", "--out-dir", out]) == 2
+    assert tables() == set()
+    assert set(os.listdir(out)) == inputs - {"diagram.json"} | others | {
+        "representatives.json"}
 
 def test_relaxed_policies_refuse_essential_classes(pipeline_dir, tmp_path,
                                                    capsys):
@@ -819,6 +916,13 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
     assert f"scipy {version}" in message
     assert loaded == "[]"
 
+
+
+def test_missing_scipy_extension_is_an_import_error():
+    from chronocycle._extensions import _scipy_extension
+    with pytest.raises(ImportError, match=r"no scipy extension .*_no_such_module"):
+        _scipy_extension("sparse/_no_such_module")
+    assert "scipy.sparse._no_such_module" not in sys.modules
 
 def test_entry_point_subprocess(tmp_path):
     out = str(tmp_path)

@@ -137,6 +137,15 @@ def test_filtration_validation_errors():
     with pytest.raises(ValueError, match="duplicate"):
         Filtration(levels=[(np.array([[0], [1]]), [0, 0]),
                            (np.array([[0, 1]]), [1]), (np.array([[0, 1]]), [2])])
+    # exactly one input form, and each level an (m, k+1) array with m values
+    with pytest.raises(TypeError, match="exactly one"):
+        Filtration()
+    with pytest.raises(TypeError, match="exactly one"):
+        Filtration([((0,), 0.0)], levels=[(np.array([[0]]), [0.0])])
+    for level in ((np.array([0, 1]), [0.0, 0.0]), (np.array([[0], [1]]), [0.0]),
+                  (np.array([[0], [1]]), [[0.0, 0.0]])):
+        with pytest.raises(ValueError, match=r"\(m, k\+1\) vertex array and m values"):
+            Filtration(levels=[level])
 
 
 def test_filtration_takes_integer_valued_ids_of_any_dtype():
@@ -191,6 +200,8 @@ def test_boundary_matrix_triangle_signs():
     assert list(bd.cols) == [6]
     with pytest.raises(ValueError):
         boundary_matrix(f, 1, "f3")
+    with pytest.raises(ValueError, match="no boundary below dimension 0"):
+        boundary_matrix(f, -1)
 
 
 def reference_boundary_matrix(f, p, mode):

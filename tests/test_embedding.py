@@ -85,6 +85,11 @@ def test_spectrum_errors():
     flat = TimeSeries(t0=0.0, dt=1.0, values=np.full(64, 3.25))
     with pytest.raises(ValueError, match="empty spectrum"):
         spectrum(flat)
+    # all the power of an alternating series is in the last rfft bin, which
+    # is no interior maximum, so no peak passes the threshold
+    alternating = TimeSeries(t0=0.0, dt=1.0, values=np.tile([1.0, -1.0], 32))
+    with pytest.raises(ValueError, match="empty spectrum"):
+        spectrum(alternating)
     with pytest.raises(ValueError):
         spectrum(tone(), threshold_fraction=0.0)
     with pytest.raises(ValueError, match="too short"):
@@ -246,6 +251,10 @@ def test_csv_header_optional(tmp_path):
     ts = read_series_csv(path)
     assert ts.n == 3
     assert list(ts.values) == [1.0, 2.0, 3.0]
+    # blank lines, empty cells and whitespace-only lines are skipped
+    path.write_text("t,value\n\n0.0,1.0\n,\n1.0,2.0\n  \n2.0,3.0\n\n")
+    ts = read_series_csv(path)
+    assert (ts.t0, ts.dt, ts.values.tolist()) == (0.0, 1.0, [1.0, 2.0, 3.0])
 
 
 def test_csv_errors(tmp_path):

@@ -155,6 +155,10 @@ def test_restrict_sets_no_free_columns(cylinder):
     assert sol.iterations == 0
     assert sol.support == essential.initial_rep.support
     assert sol.objective == pytest.approx(len(sol.support))
+    # at the top dimension no block has the simplices as rows: no free column
+    P, Qhat = restrict_sets(cylinder, dec, 2, 2.0)
+    assert P.tolist() == cylinder.dim_indices(2).tolist()
+    assert Qhat.tolist() == [] and Qhat.dtype == np.array([], dtype=int).dtype
 
 
 def test_lp_cannot_write_through_to_the_filtration(cylinder):
@@ -379,7 +383,7 @@ def test_restrict_sets_matches_column_loop():
                     continue
                 P, Qhat = restrict_sets(f, dec, p, b)
                 alive = int(np.sum(f.values[f.dim_indices(p + 1)] <= b + 1e-9 * (1 + b)))
-                loop = [int(blk.cols[j]) for j in range(alive) if blk.r[j]]
+                loop = [int(blk.cols[j]) for j in range(alive) if blk.r_column(j)]
                 assert Qhat.dtype == np.array(loop, dtype=int).dtype
                 assert Qhat.tolist() == loop
                 assert P.tolist() == alive_p

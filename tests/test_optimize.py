@@ -79,6 +79,9 @@ def test_describe():
     assert RelaxationPolicy.fraction(0.7).describe() == {
         "mode": "fraction", "rho": 0.7,
     }
+    assert RelaxationPolicy.absolute(0.25).describe() == {
+        "mode": "absolute", "epsilon": 0.25,
+    }
 
 
 def test_optimizes_labeled_complex_per_kind(labeled):
@@ -176,6 +179,9 @@ def test_optimize_all_kind_order(labeled):
     assert all(isinstance(r, OptimizedRepresentative) for r in reps)
     assert optimize_all(
         [], RelaxationPolicy.full(), ["length"], f, dec, labels
+    ) == []
+    assert optimize_all(
+        dec.pairs(1), RelaxationPolicy.full(), [], f, dec, labels
     ) == []
 
 

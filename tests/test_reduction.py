@@ -378,7 +378,7 @@ def test_positive_columns_hold_no_log_until_asked():
     adds = full_reduction(f)[2][2]
     positive = [j for j, lw in enumerate(blk.low) if lw < 0]
     assert positive
-    assert all(j not in blk._logs and blk.r[j] == 0 for j in positive)
+    assert all(j not in blk._logs and blk.r_column(j) == 0 for j in positive)
     for j in positive:
         blk.v_column(j)
         assert blk._logs[j] == adds[j]
@@ -400,26 +400,27 @@ def test_r_view_reads_stored_and_apparent_columns(n, max_dim, radius, seed):
     ref = full_reduction(f)
     for p, blk in dec.blocks.items():
         r = ref[p][0]
-        assert not isinstance(blk.r, list)
-        assert len(blk.r) == len(r)
         assert list(blk.r) == r
-        assert [blk.r[j] for j in range(len(r))] == r
-        assert blk.r[-1] == r[-1]
-        with pytest.raises(IndexError):
-            blk.r[len(r)]
+        assert [blk.r_column(j) for j in range(len(blk.cols))] == r
+        # a negative index names no column, so it cannot miss a stored one
+        for j in (-1, -len(r), len(r)):
+            with pytest.raises(IndexError):
+                blk.r_column(j)
+        with pytest.raises(AttributeError):
+            blk.r = r  # read-only
         # an apparent column is its boundary, read off the face index; only
         # the columns reduced one at a time are stored
         negative = np.flatnonzero(blk.low >= 0)
         apparent = negative[blk.faces[negative].max(axis=1) == blk.low[negative]]
         for j in apparent.tolist():
-            assert blk.r[j] == sum(1 << i for i in blk.faces[j].tolist())
-        assert sorted(blk.r._reduced) == sorted(set(negative.tolist())
-                                                - set(apparent.tolist()))
+            assert blk.r_column(j) == sum(1 << i for i in blk.faces[j].tolist())
+        assert sorted(blk._reduced) == sorted(set(negative.tolist())
+                                              - set(apparent.tolist()))
         # until a V column is asked for, only the columns reduced one at a
         # time hold a V log; adds is the live view of the logs' values
         adds = ref[p][2]
         assert not isinstance(blk.adds, list)
-        assert sorted(blk._logs) == sorted(blk.r._reduced)
+        assert sorted(blk._logs) == sorted(blk._reduced)
         assert all(blk._logs[j] == adds[j] for j in blk._logs)
         assert len(blk.adds) == len(blk._logs)
         rest = [j for j in range(len(adds)) if j not in blk._logs]
@@ -428,7 +429,7 @@ def test_r_view_reads_stored_and_apparent_columns(n, max_dim, radius, seed):
             blk.v_column(j)
             assert blk._logs[j] == adds[j]
             # the view is live: it reads the log just computed
-            assert len(blk.adds) == len(blk._logs) > len(blk.r._reduced)
+            assert len(blk.adds) == len(blk._logs) > len(blk._reduced)
             assert any(a is blk._logs[j] for a in blk.adds)
 
 
@@ -442,13 +443,12 @@ def test_checks_and_chains_read_the_r_view():
     boundary_of_j = sorted(blk.rows[blk.faces[j]].tolist())
     assert dec.r_chain(2, j).support == boundary_of_j
     assert dec.check_reduced(2) and dec.check_rv(2)
-    # over a tampered copy of the columns the same calls change: they read r
-    tampered = list(blk.r)
-    tampered[j] ^= 1 << int(blk.low[j])
-    blk.r = tampered
+    # with a tampered stored column the same calls change: they read R
+    # through r_column and r
+    blk._reduced[j] = blk.r_column(j) ^ 1 << int(blk.low[j])
     assert dec.r_chain(2, j).support != boundary_of_j
     assert not dec.check_rv(2)
-    tampered[j] = tampered[k]
+    blk._reduced[j] = blk.r_column(k)
     assert not dec.check_reduced(2)
 
 
@@ -480,7 +480,7 @@ def test_reducing_a_column_again_gives_its_r_and_log():
     checked = 0
     for blk in reduce(f).blocks.values():
         for j in np.flatnonzero(blk.low >= 0).tolist():
-            assert blk._reduce_column(j) == (blk.r[j], blk._logs.get(j, []))
+            assert blk._reduce_column(j) == (blk.r_column(j), blk._logs.get(j, []))
             checked += bool(blk._logs.get(j))
     assert checked
 
@@ -548,8 +548,8 @@ def test_torus_blocks_match_the_all_columns_loop():
     negative = np.flatnonzero(blk.low >= 0)
     adds_nothing = sum(1 for j in negative.tolist() if not blk._logs.get(j))
     assert len(negative) == 11_026 and adds_nothing == 10_931
-    # the R view stores an int for the other 95 columns only
-    assert len(blk.r._reduced) == 95
+    # R is stored as an int for the other 95 columns only
+    assert len(blk._reduced) == 95
     # the counts the benchmark's tracer reads off the blocks, which it reads
     # after pairs(): columns, column additions and nonzero top R columns
     assert sum(len(b.cols) for b in dec.blocks.values()) == 562_475

@@ -379,9 +379,13 @@ def cmd_export(cfg: PipelineConfig) -> int:
     for name in os.listdir(cfg.out_dir):
         if re.fullmatch(r"diagram\.csv|pca\.csv|overlay_\d+\.csv", name):
             os.remove(_path(cfg, name))
+    # all is read first: a run that fails on a read writes no table
     dia = read_json(_path(cfg, "diagram.json"))
     emb = read_json(_path(cfg, "embedding.json"))
     pc = LabeledPointCloud(points=emb["points"], labels=emb["labels"])
+    reps_path = _path(cfg, "representatives.json")
+    reps = read_json(reps_path) if os.path.exists(reps_path) else None
+    ts = _read_series(cfg) if reps is not None else None
     with open(_path(cfg, "diagram.csv"), "w", newline="") as fh:
         fh.write("dim,birth,death\n")
         for row in dia["pairs"]:
@@ -405,10 +409,7 @@ def cmd_export(cfg: PipelineConfig) -> int:
             for (a, b, c), lab in zip(proj.tolist(), pc.labels.tolist())
         ))
 
-    reps_path = _path(cfg, "representatives.json")
-    if os.path.exists(reps_path):
-        reps = read_json(reps_path)
-        ts = _read_series(cfg)
+    if reps is not None:
         span = (emb["d"] - 1) * emb["tau"]
         times = ts.times()
         samples = list(zip(times.tolist(), ts.values.tolist()))

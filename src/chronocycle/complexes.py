@@ -24,19 +24,24 @@ dimension whose keys strictly increase, as every Rips level's do, is in
 order and has no duplicates; any other is sorted by one stable sort of its
 keys, after which duplicates are adjacent.
 
-The faces are found before the order is known, each at its key among the
-keys below, as lexicographic positions.  They give the order a second key
-per simplex: the dense rank of its value among the filtration's distinct
-values.  A simplex that enters with its youngest face (every Rips simplex
-above dimension 1) takes that face's rank; only the others are ranked by a
-search among their own distinct values.  A stable counting sort of the
+The dimensions are then taken in ascending order.  Once the
+(p-1)-simplices are ranked, their local filtration order is a stable
+counting sort of their ranks, and each face of a p-simplex is found at its
+key among their keys as its filtration-local id.  Local order is value
+order, so a simplex's youngest face is its largest face id, and what is
+gathered there checks that no face enters after its coface and gives the
+simplex its rank: the dense rank of its value among the filtration's
+distinct values.
+A simplex that enters with its youngest face (every Rips simplex above
+dimension 1) takes that face's rank; only the others are ranked by a search
+among the distinct values seen so far.  A stable counting sort of the
 ranks, over the dimensions concatenated in ascending order, then gives the
 (value, dimension, lexicographic) filtration order: an LSD radix sort on
 16-bit digits, one pass while there are at most 65,536 distinct values.
 
 The face index is built once: per dimension, an int32 array gives each
 p-simplex's faces as local indices into the (p-1)-simplices, in
-vertex-deletion order, the lexicographic positions mapped into filtration
+vertex-deletion order, the looked-up rows gathered once into filtration
 order.  It is the only face lookup and the one boundary representation:
 the closure check, orientation, a chain's boundary and the persistence
 reduction read it, and each boundary block is built from it, uncached, for
@@ -259,86 +264,87 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
     return out
 
 
-def _lex_faces(levels) -> tuple[list[Optional[np.ndarray]], list[np.ndarray]]:
-    """Per dimension p >= 1, the faces of each p-simplex as lexicographic
-    positions among the (p-1)-simplices, an (m, p+1) int32 array whose
-    column i holds the face dropping vertex position i, and the position of
-    its youngest face (one with the largest value) where the simplex enters
-    with that face, else -1.  Raises for a missing face and for a face
-    whose value exceeds its coface's.
+def _face_error(s, value, below, found) -> ValueError:
+    """The error of the first bad face, column by column: the first
+    p-simplex whose face is missing (-1), then the first whose face enters
+    after it, by the face values ``below`` (by local id)."""
+    for i, col in enumerate(found.T):
+        missing = np.flatnonzero(col < 0)
+        if len(missing):
+            return _missing_face(tuple(s[missing[0]].tolist()), i)
+        face_value = below[col]
+        late = np.flatnonzero(face_value > value)
+        if len(late):
+            j = late[0]
+            t = tuple(s[j].tolist())
+            return ValueError(
+                f"face {t[:i] + t[i + 1:]} enters at {face_value[j]} "
+                f"after coface {t} at {value[j]}"
+            )
 
-    Each face is read at its rank key among the keys of the level below:
-    through a dense int32 table over all n**p keys while that is at most
-    ``_TABLE_MAX_ENTRIES`` entries, else at its ``searchsorted`` position;
-    either reads -1 for a face that is not there.  The p-simplices are
-    checked in lexicographic order, so an error names the first bad one in
-    that order.
+
+def _faces_and_ranks(levels) -> tuple[list[Optional[np.ndarray]], list[np.ndarray]]:
+    """Per dimension p >= 1, an (m, p+1) int32 array of each p-simplex's
+    faces, in lexicographic row order, column i the face dropping vertex
+    position i, each as its filtration-local id among the (p-1)-simplices;
+    and per dimension the dense rank of each simplex's value among the
+    filtration's distinct values, in lexicographic order, of the narrowest
+    unsigned type: uint16 up to 65,536 distinct values.  A face is read at
+    its rank key through a dense int32 table over all n**p keys while that
+    is at most ``_TABLE_MAX_ENTRIES`` entries, else by ``searchsorted``;
+    either reads -1 for a missing face.  A simplex that enters with its
+    youngest face (its largest face id) takes that face's rank; the values
+    of the others join the distinct values seen so far, and the ranks
+    already given are remapped.
     """
     n = len(levels[0][0])
-    faces, youngest = [None], [np.full(n, -1)]
+    distinct = np.unique(levels[0][1])
+    ranks = [np.searchsorted(distinct, levels[0][1]).astype(
+        np.min_scalar_type(len(distinct) - 1))]
+    faces = [None]
     for p in range(1, len(levels)):
-        s, value, rank, _ = levels[p]
+        s, value, vertex_rank, _ = levels[p]
         _, below, _, keys = levels[p - 1]
-        m = len(keys)
+        lex = _counting_order(ranks[-1])  # the (p-1)-simplices by local id
+        m = len(lex)
+        local = np.empty(m, dtype=np.int32)
+        local[lex] = np.arange(m, dtype=np.int32)
         table = None
         if n**p <= _TABLE_MAX_ENTRIES:
             table = np.full(n**p, -1, dtype=np.int32)
-            table[keys] = np.arange(m, dtype=np.int32)
+            table[keys] = local
+        below = below[lex]  # by local id: ascending
         found = np.empty((len(s), p + 1), dtype=np.int32)
         for i in range(p + 1):
-            face_keys = _rank_keys([rank[:, c] for c in range(p + 1) if c != i], n)
+            face_keys = _rank_keys(
+                [vertex_rank[:, c] for c in range(p + 1) if c != i], n)
             if table is not None:
-                pos = np.take(table, face_keys)
+                pos = table[face_keys]
             else:
                 at = np.minimum(np.searchsorted(keys, face_keys), m - 1)
-                pos = np.where(keys[at] == face_keys, at, -1)
-            del face_keys
-            missing = np.flatnonzero(pos < 0)
-            if len(missing):
-                raise _missing_face(tuple(s[missing[0]].tolist()), i)
-            face_value = below[pos]  # not np.take: no intp copy of pos
-            late = np.flatnonzero(face_value > value)
-            if len(late):
-                j = late[0]
-                t = tuple(s[j].tolist())
-                raise ValueError(
-                    f"face {t[:i] + t[i + 1:]} enters at {face_value[j]} "
-                    f"after coface {t} at {value[j]}"
-                )
-            if i == 0:
-                top, young = face_value, pos
-            else:
-                np.copyto(young, pos, where=face_value > top)
-                np.maximum(top, face_value, out=top)
-            del face_value
+                pos = np.where(keys[at] == face_keys, local[at], -1)
             found[:, i] = pos
+            if pos.min() < 0:
+                raise _face_error(s, value, below, found[:, :i + 1])
+            young = pos if i == 0 else np.maximum(young, pos, out=young)
+        del face_keys, pos, table, local
+        young = young.astype(np.intp)  # intp: numpy gathers faster by it
+        face_value = below[young]
+        if np.any(face_value > value):
+            raise _face_error(s, value, below, found)
+        fresh = np.flatnonzero(face_value < value)
+        del face_value
+        r = ranks[-1][lex][young]
+        del young
+        if len(fresh):
+            merged = np.union1d(distinct, value[fresh])
+            remap = np.searchsorted(merged, distinct).astype(
+                np.min_scalar_type(len(merged) - 1))
+            ranks, r, distinct = [remap[q] for q in ranks], remap[r], merged
+            r[fresh] = np.searchsorted(distinct, value[fresh])
+        ranks.append(r)
         faces.append(found)
-        young[value > top] = -1
-        youngest.append(young)
-    return faces, youngest
-
-
-def _value_ranks(levels, youngest) -> np.ndarray:
-    """Dense rank of each simplex's value among the filtration's distinct
-    values, over the dimensions concatenated in ascending order, each in
-    lexicographic order.  A simplex that enters with its youngest face takes
-    that face's rank; the others (the vertices, and any simplex that enters
-    after all its faces) are ranked by ``searchsorted`` among their own
-    distinct values, which are all of the filtration's.  The ranks are of
-    the narrowest unsigned type that holds them: uint16 up to 65,536
-    distinct values."""
-    fresh = [np.flatnonzero(y < 0) for y in youngest]
-    distinct = np.unique(np.concatenate([v[f] for (_, v, *_), f in zip(levels, fresh)]))
-    rank = np.empty(sum(map(len, youngest)), dtype=np.min_scalar_type(len(distinct) - 1))
-    start, below = 0, None
-    for (_, v, *_), y, f in zip(levels, youngest, fresh):
-        r = rank[start:start + len(v)]
-        if below is not None:
-            # a fresh simplex's -1 reads a rank that the next line overwrites
-            r[:] = below[y]
-        r[f] = np.searchsorted(distinct, v[f])
-        start, below = start + len(v), r
-    return rank
+    return faces, ranks
 
 
 def _counting_order(rank: np.ndarray) -> np.ndarray:
@@ -376,10 +382,11 @@ class Filtration:
 
     Each dimension's rows are first brought into lexicographic order by
     their rank keys (Rips levels already are, which one comparison of
-    consecutive keys confirms), and the same keys find the faces.  Each
-    value is then given its dense rank among the filtration's distinct
-    values, a simplex that enters with its youngest face taking that face's
-    rank, and a stable counting sort of the ranks of the dimensions,
+    consecutive keys confirms), and the same keys find the faces, each as
+    its local id in the filtration order of the dimension below.  Each
+    value is given its dense rank among the filtration's distinct values, a
+    simplex that enters with its youngest face taking that face's rank, and
+    a stable counting sort of the ranks of the dimensions,
     concatenated in ascending dimension, gives the (value, dimension,
     lexicographic) order with no comparison sort of values or vertices.
 
@@ -403,11 +410,9 @@ class Filtration:
         if levels is None:
             levels = _levels_of_pairs(simplices)
         levels = _sorted_levels(levels)
-        lex_faces, youngest = _lex_faces(levels)
-        rank = _value_ranks(levels, youngest)
-        del youngest  # freed before the sort's buffers are taken
-        order = _counting_order(rank)
-        del rank
+        found, value_rank = _faces_and_ranks(levels)
+        order = _counting_order(np.concatenate(value_rank))
+        del value_rank
         counts = [len(s) for s, *_ in levels]
         start = np.cumsum([0] + counts)
         self.values: np.ndarray = np.concatenate([v for _, v, *_ in levels])[order]
@@ -419,6 +424,7 @@ class Filtration:
         # global indices of the p-simplices, in filtration order, per
         # dimension, and each one's row: its position in the concatenated
         # levels less its level's start, subtracted in place in int32
+        # levels less its level's start, subtracted in place in int32
         self._by_dim: list[np.ndarray] = []
         self.rows: np.ndarray = order.astype(np.int32)
         for p, first in enumerate(start[:-1].tolist()):
@@ -429,28 +435,15 @@ class Filtration:
         for a in (self.values, self.dims, self.rows, *self._by_dim):
             a.flags.writeable = False
         del levels, order  # not held through the face index's gathers
-        self._faces = self._face_index(lex_faces, [self.rows[g] for g in self._by_dim])
-
-    @staticmethod
-    def _face_index(lex_faces, lex) -> list[np.ndarray]:
-        """The face index in filtration order: per dimension, the face
-        columns of lexicographic positions gathered into filtration order,
-        each position mapped to its face's local index.  Drops each
-        dimension's positions from ``lex_faces`` once read: one block of
-        the face index's size, freed whole, which the pairing's cofacet
-        array (the same size) can then take instead of growing the heap.
-        The gathers index with int32 arrays directly: ``np.take`` would
-        first copy each into an intp array twice its size."""
-        faces = [_empty_faces(0)]
-        for p in range(1, len(lex)):
-            local = np.empty(len(lex[p - 1]), dtype=np.int32)
-            local[lex[p - 1]] = np.arange(len(local), dtype=np.int32)
-            out = np.empty((len(lex[p]), p + 1), dtype=np.int32)
-            for i in range(p + 1):
-                out[:, i] = local[lex_faces[p][:, i]][lex[p]]
-            lex_faces[p] = None
-            faces.append(_read_only(out))
-        return faces
+        # the face index: each dimension's looked-up rows gathered by its
+        # lexicographic rows in filtration order.  Each looked-up block is
+        # dropped once read and freed whole, so the pairing's cofacet array
+        # (the same size) can take it instead of growing the heap
+        self._faces = [_empty_faces(0)]
+        for p in range(1, len(found)):
+            lex = self.rows[self._by_dim[p]].astype(np.intp)
+            self._faces.append(_read_only(np.take(found[p], lex, axis=0)))
+            found[p] = None
 
     def __len__(self) -> int:
         return len(self.values)

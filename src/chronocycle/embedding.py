@@ -10,7 +10,6 @@ Embedded points carry the start time of their window as a time label.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,35 +152,37 @@ def embedding_dimension(s: SpectrumSupport) -> int:
     return 2 * len(s.peaks)
 
 
-def _omega_matrix(s: SpectrumSupport, d: int, tau: float) -> np.ndarray:
-    # columns e^{i w tau m}, m = 0..d-1, for +w and -w of every retained tone
-    ws = []
-    for w, _ in s.peaks:
-        ws.extend([w, -w])
-    m = np.arange(d)[:, None]
-    return np.exp(1j * m * (tau * np.array(ws))[None, :])
+# delays scored in one array pass: a few (block, d, 2 * peaks) complex arrays
+_DELAY_BLOCK = 4096
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices of the strict upper triangle of a k x k matrix;
-    the same k serves every delay of a scan."""
-    iu = np.triu_indices(k, 1)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
+def _scores(s: SpectrumSupport, d: int, taus: np.ndarray) -> np.ndarray:
+    """Orthogonality score of each delay in the float array ``taus``: the
+    mean |<col_a, col_b>| / d over distinct column pairs of the window
+    exponential matrix, whose columns are e^{i w tau m}, m = 0..d-1, for +w
+    and -w of every retained tone.  Each block of delays is one batched
+    expression, and a delay's score does not depend on its block."""
+    if not np.all(taus > 0):
+        raise ValueError("delay must be positive")
+    if d < 1:
+        raise ValueError("embedding dimension must be at least 1")
+    ws = np.array([x for w, _ in s.peaks for x in (w, -w)])
+    steps = 1j * np.arange(d)[:, None]
+    a, b = np.triu_indices(len(ws), 1)
+    out = np.empty(len(taus))
+    for lo in range(0, len(taus), _DELAY_BLOCK):
+        M = np.exp(steps * (taus[lo:lo + _DELAY_BLOCK, None, None] * ws))
+        G = np.abs(M.conj().transpose(0, 2, 1) @ M) / d
+        # each delay's pairs contiguous, so that each mean sums them as the
+        # mean of one delay's pairs does
+        out[lo:lo + _DELAY_BLOCK] = np.ascontiguousarray(G[:, a, b]).mean(axis=1)
+    return out
 
 
 def orthogonality_score(s: SpectrumSupport, d: int, tau: float) -> float:
     """Mean |<col_a, col_b>| / d over distinct column pairs of the window
     exponential matrix; 0 means perfectly orthogonal columns."""
-    if not tau > 0:
-        raise ValueError("delay must be positive")
-    if d < 1:
-        raise ValueError("embedding dimension must be at least 1")
-    M = _omega_matrix(s, d, tau)
-    G = np.abs(M.conj().T @ M) / d
-    return float(G[_upper_pairs(G.shape[0])].mean())
+    return float(_scores(s, d, np.array([tau], dtype=float))[0])
 
 
 def delay_curve(s: SpectrumSupport, d: int, tau_grid) -> list[tuple[float, float]]:
@@ -191,7 +192,7 @@ def delay_curve(s: SpectrumSupport, d: int, tau_grid) -> list[tuple[float, float
         raise ValueError("empty delay grid")
     if grid[0] <= 0:
         raise ValueError("delays must be positive")
-    return [(tau, orthogonality_score(s, d, tau)) for tau in grid]
+    return list(zip(grid, _scores(s, d, np.array(grid)).tolist()))
 
 
 def best_delay(curve) -> float:

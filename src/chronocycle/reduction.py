@@ -186,7 +186,10 @@ class _DimReduction:
         yield from repeat(0, len(self.low) - start)
 
     def v_column(self, j: int) -> int:
-        """Expand column j of V (bitset over local column indices)."""
+        """Expand column j of V (bitset over local column indices); raises
+        ``IndexError`` outside ``0 <= j < len(cols)``."""
+        if not 0 <= j < len(self.cols):
+            raise IndexError(f"column {j} outside 0..{len(self.cols) - 1}")
         cached = self._v_cache.get(j)
         if cached is not None:
             return cached

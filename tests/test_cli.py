@@ -598,6 +598,9 @@ def test_export_writes_only_the_current_runs_tables(tmp_path, capsys):
     assert main(["export", "--out-dir", out]) == 2
     assert "cannot read series" in capsys.readouterr().err
     assert not tables() & overlays(2)
+    # the series is read before any table is written: no diagram.csv or
+    # pca.csv of the failed run either
+    assert tables() == {"kept.csv"}
     os.rename(os.path.join(out, "kept.csv"), os.path.join(out, "series.csv"))
     # no diagram: export fails before it writes, and no table is left
     assert main(["export", "--out-dir", out]) == 0

@@ -663,6 +663,24 @@ def test_order_past_65536_distinct_values():
     assert_float_sort_order(Filtration(levels=levels), items)
 
 
+def test_fresh_triangle_values_between_edge_values():
+    # triangles that enter after all their edges at values between the edge
+    # values: ranks given to the vertices and edges must move up for them,
+    # and their 300-odd distinct values outgrow 8-bit ranks
+    rng = np.random.default_rng(11)
+    edges = list(itertools.combinations(range(21), 2))
+    value = {(v,): 0.0 for v in range(21)}
+    value.update(zip(edges, (rng.permutation(len(edges)) / 7.0).tolist()))
+    for s in itertools.combinations(range(12), 3):
+        top = max(value[s[:i] + s[i + 1:]] for i in range(3))
+        value[s] = top + float(rng.integers(0, 2)) * rng.uniform(0.01, 0.1)
+    items = list(value.items())
+    assert 256 < len(set(value.values())) < 2**16
+    shuffled = [items[i] for i in rng.permutation(len(items))]
+    for build in (Filtration, rank_key_filtration):
+        assert_float_sort_order(build(shuffled), items)
+
+
 def test_boundary_squares_to_zero_matrix():
     f = triangle_filtration()
     b0 = boundary_matrix(f, 0, REAL).matrix

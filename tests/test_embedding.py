@@ -22,7 +22,7 @@ from chronocycle.embedding import (
     subsample_indices,
     write_series_csv,
 )
-from chronocycle.signals import double_sine
+from chronocycle.signals import double_sine, noisy_sine
 
 
 def tone(n=2000, t_end=64 * math.pi, omega=1.0):
@@ -136,6 +136,43 @@ def test_optimal_delay_picks_quarter_period():
     assert curve == [(0.1, orthogonality_score(s, 2, 0.1)),
                      (3.0, orthogonality_score(s, 2, 3.0))]
     assert best_delay([(2.0, 0.5), (1.0, 0.5), (0.5, 0.9)]) == 1.0
+
+
+def per_delay_score(s, d, tau):
+    """The reference orthogonality score: one delay's window exponential
+    matrix and its Gram matrix by ``@``, the mean over its upper triangle."""
+    ws = [x for w, _ in s.peaks for x in (w, -w)]
+    m = np.arange(d)[:, None]
+    M = np.exp(1j * m * (tau * np.array(ws))[None, :])
+    G = np.abs(M.conj().T @ M) / d
+    return float(G[np.triu_indices(G.shape[0], 1)].mean())
+
+
+def test_delay_curve_matches_per_delay_scores(tmp_path):
+    # embedding.json holds the curve, so the batched scan must give each
+    # delay's score bit for bit: the two-tone series, the sine workload's
+    # noisy sines, the series the CLI pipeline writes and reads back, and
+    # wider supports (up to 45 column pairs) over grids past one block
+    cases = []
+    s = spectrum(double_sine())
+    cases.append((s, 4, default_tau_grid(s)))
+    for seed in range(30):
+        s = spectrum(noisy_sine(n=200, sigma=0.1, seed=seed))
+        cases.append((s, embedding_dimension(s), default_tau_grid(s)))
+    for seed in range(5):
+        write_series_csv(noisy_sine(n=300, sigma=0.05, seed=seed), tmp_path / "s.csv")
+        s = spectrum(read_series_csv(tmp_path / "s.csv"))
+        grid = default_tau_grid(s)
+        cases.append((s, embedding_dimension(s), np.linspace(grid[0], grid[-1], 200)))
+    for k, d in ((3, 6), (5, 9)):
+        s = SpectrumSupport(peaks=[(1.0 + 0.7 * i, 1.0) for i in range(k)], threshold=0.1)
+        cases.append((s, d, np.linspace(0.003, 9.0, 4500)))
+    for s, d, grid in cases:
+        curve = delay_curve(s, d, grid)
+        expected = [(tau, per_delay_score(s, d, tau)) for tau in sorted(grid.tolist())]
+        assert np.array(curve).tobytes() == np.array(expected).tobytes()
+        assert [orthogonality_score(s, d, tau) for tau, _ in curve[:3]] == [
+            score for _, score in expected[:3]]
 
 
 def test_default_tau_grid():

@@ -433,6 +433,19 @@ def test_r_view_reads_stored_and_apparent_columns(n, max_dim, radius, seed):
             assert any(a is blk._logs[j] for a in blk.adds)
 
 
+def test_v_column_outside_the_block_raises_and_stores_nothing():
+    # a negative j names no column: it must not reduce the last one and
+    # store a log for it
+    pts = np.random.default_rng(4).random((12, 2))
+    blk = reduce(build_rips(cloud(pts), RipsConfig(max_dim=1))).blocks[1]
+    logs = len(blk.adds)
+    for j in (-1, len(blk.cols)):
+        with pytest.raises(IndexError, match=f"column {j} outside"):
+            blk.v_column(j)
+    assert len(blk.adds) == logs
+    assert blk.v_column(len(blk.cols) - 1) >> (len(blk.cols) - 1) == 1
+
+
 def test_checks_and_chains_read_the_r_view():
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
     dec = reduce(f)

@@ -424,7 +424,6 @@ class Filtration:
         # global indices of the p-simplices, in filtration order, per
         # dimension, and each one's row: its position in the concatenated
         # levels less its level's start, subtracted in place in int32
-        # levels less its level's start, subtracted in place in int32
         self._by_dim: list[np.ndarray] = []
         self.rows: np.ndarray = order.astype(np.int32)
         for p, first in enumerate(start[:-1].tolist()):

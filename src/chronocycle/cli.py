@@ -186,7 +186,7 @@ def load_config_file(path) -> dict:
                 key, raw = match.groups()
                 if key is not None:
                     out[key] = _convert(key, raw.strip("\"'"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
     return out
 

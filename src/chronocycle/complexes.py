@@ -93,7 +93,6 @@ class SimplexView(Sequence):
     Simplex g is row ``rows[g]`` of the lexicographic level ``dims[g]``;
     each access builds the one tuple asked for from that row, and a slice
     the list of tuples it covers, so no list of all simplices is ever held.
-    Compares equal to a list or tuple of the same vertex tuples.
     """
 
     __slots__ = ("_levels", "_dims", "_rows")
@@ -108,16 +107,6 @@ class SimplexView(Sequence):
         if isinstance(g, slice):
             return [self[i] for i in range(*g.indices(len(self)))]
         return tuple(self._levels[self._dims.item(g)][self._rows.item(g)].tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (SimplexView, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ class RelaxationPolicy:
             if self.rho is None or not 0 < self.rho <= 1:
                 raise ValueError("fraction policy needs rho in (0, 1]")
         if self.mode == ABSOLUTE:
-            if self.epsilon is None or not self.epsilon > 0:
-                raise ValueError("absolute policy needs a positive bound")
+            if self.epsilon is None or not 0 < self.epsilon < math.inf:
+                raise ValueError("absolute policy needs a finite positive bound")
 
     @classmethod
     def full(cls) -> "RelaxationPolicy":

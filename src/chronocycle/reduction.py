@@ -38,17 +38,18 @@ their boundaries, so none is stored: a block keeps the R columns of only
 the columns reduced one at a time, each adding only pivot owners to its
 left, and ``r_column(j)`` reads any other negative column off the face
 index (a positive column reads 0), as ``v_column(j)`` reads V.  V is kept
-as a log of column additions and expanded on demand.  Only the logs
-computed are stored: those of the columns reduced one at a time, and those
-of the columns whose V column has been needed (essential classes,
-``check_rv``), which the same column reduction computes then.  A block's
-``adds`` is a live view of their values.
+as a log of column additions: only the columns reduced one at a time add
+anything, so only they have logs, and a block's ``adds`` is their values.
+A block is fixed once built: ``v_column(j)`` reads the logs in one
+descending pass, and a positive column's log (an essential class,
+``check_rv``) comes from one column reduction that is not stored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import repeat
 from typing import Optional
 
@@ -94,14 +95,14 @@ class _DimReduction:
     bitset over the local rows, and ``r`` yields every R column in column
     order; ``_reduced`` stores an int only for the negative columns reduced
     one at a time, and the others are read off the face index.  ``_logs``
-    maps a column to its V log, the columns added to it in order; it holds a
-    log only for the columns reduced one at a time and those whose V column
-    has been asked for.  ``adds`` is the live view of its values.
+    maps each column reduced one at a time to its V log, the columns added
+    to it in order, and ``adds`` is its values.  Nothing changes after
+    ``__init__``.
     """
 
     __slots__ = (
         "rows", "cols", "faces", "adds", "low", "pivot_of_row",
-        "_reduced", "_logs", "_v_cache",
+        "_reduced", "_logs",
     )
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, faces: np.ndarray,
@@ -114,7 +115,6 @@ class _DimReduction:
         self._reduced: dict[int, int] = {}
         self._logs: dict[int, list[int]] = {}
         self.adds = self._logs.values()
-        self._v_cache: dict[int, int] = {}
         negative = np.flatnonzero(low >= 0)
         owned = low[negative]
         self.pivot_of_row = np.full(len(rows), -1, dtype=np.int64)
@@ -186,32 +186,31 @@ class _DimReduction:
         yield from repeat(0, len(self.low) - start)
 
     def v_column(self, j: int) -> int:
-        """Expand column j of V (bitset over local column indices); raises
-        ``IndexError`` outside ``0 <= j < len(cols)``."""
+        """Column j of V (bitset over local column indices); raises
+        ``IndexError`` outside ``0 <= j < len(cols)``.
+
+        V_j is j plus the V columns of its log's columns, so bit k of V_j
+        is the parity of the paths from j to k through the logs.  j and the
+        logged columns that have logs pop from a heap of negated ids in
+        descending order, copies together, and each whose bit is set adds
+        its log; every log names only earlier columns, so a column's bit is
+        final when it pops.  j's log is its stored one, else one
+        ``_reduce_column(j)``, which is not stored.
+        """
         if not 0 <= j < len(self.cols):
             raise IndexError(f"column {j} outside 0..{len(self.cols) - 1}")
-        cached = self._v_cache.get(j)
-        if cached is not None:
-            return cached
-        # iterative expansion; adds only reference earlier columns
-        stack = [j]
-        while stack:
-            k = stack[-1]
-            log = self._logs.get(k)
-            if log is None:
-                log = self._logs[k] = self._reduce_column(k)[1]
-            pending = [a for a in log if a not in self._v_cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if k in self._v_cache:
-                continue
-            col = 1 << k
-            for a in log:
-                col ^= self._v_cache[a]
-            self._v_cache[k] = col
-        return self._v_cache[j]
+        col, heap = 1 << j, [-j]
+        while heap:
+            k = -heappop(heap)
+            while heap and heap[0] == -k:
+                heappop(heap)
+            if col >> k & 1:
+                log = self._logs.get(k)
+                for a in self._reduce_column(k)[1] if log is None else log:
+                    col ^= 1 << a
+                    if a in self._logs:
+                        heappush(heap, -a)
+        return col
 
 
 def _cofacets(faces: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:

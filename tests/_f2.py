@@ -427,7 +427,7 @@ def shuffled_levels(items, rng):
 
 def assert_same_filtration(f, g):
     """Same simplices, values, dimensions and face index, bit for bit."""
-    assert f.simplices == g.simplices
+    assert list(f.simplices) == list(g.simplices)
     assert f.values.tobytes() == g.values.tobytes()
     assert f.dims.tobytes() == g.dims.tobytes()
     assert f.max_dim == g.max_dim

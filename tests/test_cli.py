@@ -215,6 +215,8 @@ def test_non_finite_settings_are_usage_errors(tmp_path):
     (["optimize", "--dim", "2"], "optimize_dim must lie within"),
     (["optimize", "--dim", "-1"], "optimize_dim must lie within"),
     (["optimize", "--kinds", ","], "kinds must name at least one"),
+    # no diagram can take an infinite bound: it must fail before any work
+    (["optimize", "--policy", "absolute:inf"], "bad policy 'absolute:inf'"),
 ])
 def test_out_of_range_settings_are_usage_errors(tmp_path, capsys, args, message):
     out = str(tmp_path / "out")
@@ -265,6 +267,12 @@ def test_config_file(tmp_path, capsys):
     bad.write_text("just a line\n")
     assert run(["synth", "--config", str(bad)]) == 1
     assert run(["synth", "--config", str(tmp_path / "absent.conf")]) == 1
+    # a file that is not UTF-8 is unreadable too, not bad data
+    bad.write_bytes(b"n = 48\n\xff\n")
+    capsys.readouterr()
+    assert run(["synth", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"usage error: cannot read config {bad}")
 
     # each value comes back as its field's type
     conf = tmp_path / "types.conf"

@@ -52,7 +52,7 @@ def test_filtration_order_and_lookup():
         [((0, 1, 2), 2.0), ((1, 2), 1.0), ((2,), 0.0), ((0, 1), 1.0),
          ((0,), 0.0), ((0, 2), 1.0), ((1,), 0.0)]
     )
-    assert f.simplices == [
+    assert list(f.simplices) == [
         (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
     ]
     assert f.max_dim == 2
@@ -65,14 +65,14 @@ def test_filtration_order_and_lookup():
 
 def test_filtration_vertices_before_edges_at_equal_value():
     f = Filtration([((0,), 1.0), ((1,), 1.0), ((0, 1), 1.0)])
-    assert f.simplices == [(0,), (1,), (0, 1)]
+    assert list(f.simplices) == [(0,), (1,), (0, 1)]
 
 
 def test_filtration_normalizes_vertex_tuples():
     f = Filtration(
         [((0,), 0.0), ([1], 0.0), ((np.int64(0), np.int64(1)), 1.0)]
     )
-    assert f.simplices == [(0,), (1,), (0, 1)]
+    assert list(f.simplices) == [(0,), (1,), (0, 1)]
     assert all(type(v) is int for s in f.simplices for v in s)
 
 
@@ -152,7 +152,7 @@ def test_filtration_takes_integer_valued_ids_of_any_dtype():
     f = Filtration(levels=[(np.array([[2.0], [0.0]]), [0, 0]),
                            (np.array([[0, 2]], dtype=np.uint8), [1.0])])
     g = Filtration([((0,), 0.0), ((2.0,), 0.0), ((np.int32(0), 2), 1.0)])
-    assert f.simplices == g.simplices == [(0,), (2,), (0, 2)]
+    assert list(f.simplices) == list(g.simplices) == [(0,), (2,), (0, 2)]
     assert all(type(v) is int for s in f.simplices for v in s)
 
 
@@ -577,7 +577,7 @@ def random_closed_complex(n, rng):
 def assert_sorted_key_order(f, items):
     """f holds items in (value, dim, lex) order, with the right face index."""
     expected = sorted(items, key=lambda t: (t[1], len(t[0]), t[0]))
-    assert f.simplices == [s for s, _ in expected]
+    assert list(f.simplices) == [s for s, _ in expected]
     assert f.values.tolist() == [v for _, v in expected]
     assert f.dims.tolist() == [len(s) - 1 for s, _ in expected]
     for p in range(1, f.max_dim + 1):

@@ -46,8 +46,9 @@ def test_policy_constructors_and_errors():
     for rho in (0.0, -0.1, 1.5, None):
         with pytest.raises(ValueError):
             RelaxationPolicy(mode="fraction", rho=rho)
-    with pytest.raises(ValueError):
-        RelaxationPolicy(mode="absolute", epsilon=0.0)
+    for epsilon in (0.0, -1.0, math.inf, math.nan, None):
+        with pytest.raises(ValueError):
+            RelaxationPolicy(mode="absolute", epsilon=epsilon)
 
 
 def test_relaxed_birth_values(cylinder):

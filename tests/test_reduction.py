@@ -230,6 +230,18 @@ def bit_positions(bits):
     return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
+def reference_v(adds):
+    """Every V column of a block, from the full reduction's logs of all
+    columns: V_j is j plus the V columns of the columns added to it."""
+    v = []
+    for j, log in enumerate(adds):
+        col = 1 << j
+        for a in log:
+            col ^= v[a]
+        v.append(col)
+    return v
+
+
 def oracle_pairs(f, blocks, dim):
     """pairs(dim) as (birth, death, birth_simplex, death_simplex, rep
     support) tuples, read off the full reduction's R, low and V logs."""
@@ -247,21 +259,12 @@ def oracle_pairs(f, blocks, dim):
             if f.values[b_g] < f.values[d_g]:
                 sup = births[bit_positions(r[j])].tolist()
                 out.append((f.value(b_g), f.value(d_g), b_g, d_g, sup))
-    v = {}
-
-    def v_column(j):
-        if j not in v:
-            col = 1 << j
-            for a in blocks[dim][2][j]:
-                col ^= v_column(a)
-            v[j] = col
-        return v[j]
-
+    v = reference_v(blocks[dim][2]) if dim > 0 else None
     for i in range(len(births)):
         if i in paired or (dim > 0 and blocks[dim][0][i]):
             continue
         g = int(births[i])
-        sup = [g] if dim == 0 else births[bit_positions(v_column(i))].tolist()
+        sup = [g] if dim == 0 else births[bit_positions(v[i])].tolist()
         out.append((f.value(g), math.inf, g, None, sup))
     return sorted(out, key=lambda t: (t[0], t[1], t[2]))
 
@@ -275,16 +278,17 @@ def assert_matches_full_reduction(f):
         assert list(blk.r) == r
         assert blk.low.tolist() == low
         assert len(blk.cols) == len(adds)
-        # check_rv asks for every V column, positive ones on demand
         assert dec.check_reduced(p)
         assert dec.check_rv(p)
-        assert [blk._logs.get(j, []) for j in range(len(blk.cols))] == adds
-    # a fresh reduction: pairs() must not rely on check_rv's V logs
+        # check_rv passes a V off by a cycle; V must be the full reduction's
+        assert [blk.v_column(j) for j in range(len(adds))] == reference_v(adds)
+        # a column's log is what reducing it again adds, stored or not
+        assert [blk._reduce_column(j)[1] for j in range(len(adds))] == adds
     for dim in range(f.max_dim + 1):
         got = [
             (pr.birth, pr.death, pr.birth_simplex, pr.death_simplex,
              pr.initial_rep.support)
-            for pr in reduce(f).pairs(dim)
+            for pr in dec.pairs(dim)
         ]
         assert got == oracle_pairs(f, ref, dim)
 
@@ -372,7 +376,7 @@ def test_cofacets_are_scipys_csr(n_rows, n_cols, k, seed):
     assert (np.diff(indptr) == 0).tolist() == unnamed.tolist()
 
 
-def test_positive_columns_hold_no_log_until_asked():
+def test_positive_columns_hold_no_log():
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
     blk = reduce(f).blocks[2]
     adds = full_reduction(f)[2][2]
@@ -381,7 +385,8 @@ def test_positive_columns_hold_no_log_until_asked():
     assert all(j not in blk._logs and blk.r_column(j) == 0 for j in positive)
     for j in positive:
         blk.v_column(j)
-        assert blk._logs[j] == adds[j]
+        assert j not in blk._logs
+        assert blk._reduce_column(j)[1] == adds[j]
 
 
 @settings(max_examples=30, deadline=None)
@@ -416,21 +421,33 @@ def test_r_view_reads_stored_and_apparent_columns(n, max_dim, radius, seed):
             assert blk.r_column(j) == sum(1 << i for i in blk.faces[j].tolist())
         assert sorted(blk._reduced) == sorted(set(negative.tolist())
                                               - set(apparent.tolist()))
-        # until a V column is asked for, only the columns reduced one at a
-        # time hold a V log; adds is the live view of the logs' values
+        # only the columns reduced one at a time hold a V log, and adds is
+        # their values; any other column's log is one column reduction
         adds = ref[p][2]
-        assert not isinstance(blk.adds, list)
         assert sorted(blk._logs) == sorted(blk._reduced)
         assert all(blk._logs[j] == adds[j] for j in blk._logs)
-        assert len(blk.adds) == len(blk._logs)
-        rest = [j for j in range(len(adds)) if j not in blk._logs]
-        if rest:
-            j = rest[-1]
-            blk.v_column(j)
-            assert blk._logs[j] == adds[j]
-            # the view is live: it reads the log just computed
-            assert len(blk.adds) == len(blk._logs) > len(blk._reduced)
-            assert any(a is blk._logs[j] for a in blk.adds)
+        assert list(blk.adds) == list(blk._logs.values())
+        assert [blk._reduce_column(j)[1] for j in range(len(adds))] == adds
+
+
+def test_asking_for_v_leaves_the_blocks_unchanged():
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    dec = reduce(f)
+
+    def state():
+        return {p: ({j: list(a) for j, a in blk._logs.items()},
+                    dict(blk._reduced), [list(a) for a in blk.adds])
+                for p, blk in dec.blocks.items()}
+
+    before = state()
+    # the unkilled triangles are essential, so pairs(2) asks for their V
+    assert any(pr.essential and pr.dim == 2
+               for pr in full_diagram(dec, f.max_dim))
+    for p, blk in dec.blocks.items():
+        for j in range(len(blk.cols)):
+            dec.v_chain(p, j)
+        assert dec.check_rv(p)
+    assert state() == before
 
 
 def test_v_column_outside_the_block_raises_and_stores_nothing():

@@ -183,7 +183,7 @@ def test_expansion_matches_tuple_reference(n, max_dim, enclosing, seed):
         rips_simplices(pts, max_dim, None if enclosing else radius),
         key=lambda t: (t[1], len(t[0]), t[0]),
     )
-    assert f.simplices == [s for s, _ in expected]
+    assert list(f.simplices) == [s for s, _ in expected]
     assert f.values.tobytes() == np.array([v for _, v in expected]).tobytes()
     built = [f.n_simplices(p) for p in range(f.max_dim + 1)]
     assert count_rips_simplices(pts, cfg) == built

@@ -427,19 +427,21 @@ def cmd_export(cfg: PipelineConfig) -> int:
 # argument parsing
 
 
-# subcommand -> (help line, the PipelineConfig fields it takes as flags)
+# subcommand -> (function, help line, the PipelineConfig fields it takes as flags)
 _RIPS = ("max_dim", "max_radius", "subsample", "simplex_cap")
 _SUBCOMMANDS = {
-    "synth": ("generate a synthetic series CSV",
+    "synth": (cmd_synth, "generate a synthetic series CSV",
               ("kind", "n", "t_end", "sigma", "seed")),
-    "embed": ("sliding-window embedding of a series",
+    "embed": (cmd_embed, "sliding-window embedding of a series",
               ("input", "threshold_fraction", "tau_count", "tau_min", "tau_max",
                "d", "tau")),
-    "ph": ("Rips persistence of the embedding", _RIPS),
-    "optimize": ("time-optimal cycle representatives",
+    "ph": (cmd_ph, "Rips persistence of the embedding", _RIPS),
+    "optimize": (cmd_optimize, "time-optimal cycle representatives",
                  (*_RIPS, "policy", "kinds", "significance", "optimize_dim")),
-    "export": ("flatten outputs to CSV plot tables", ("input",)),
+    "export": (cmd_export, "flatten outputs to CSV plot tables", ("input",)),
 }
+# the dispatch table main reads, replaced entry by entry by the tracer
+_COMMANDS = {command: entry[0] for command, entry in _SUBCOMMANDS.items()}
 _FLAGS = {"optimize_dim": "--dim"}
 _HELP = {
     "config": "key = value configuration file",
@@ -464,21 +466,12 @@ def make_parser() -> _Parser:
     sees another's flags."""
     parser = _Parser(prog="chronocycle", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, fields) in _SUBCOMMANDS.items():
+    for command, (_, help_line, fields) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, help=help_line)
         for name in ("config", "out_dir", *fields):
             flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
             sub.add_argument(flag, dest=name, help=_HELP.get(name))
     return parser
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "embed": cmd_embed,
-    "ph": cmd_ph,
-    "optimize": cmd_optimize,
-    "export": cmd_export,
-}
 
 
 def main(argv=None) -> int:

@@ -142,6 +142,8 @@ def _vertex_ids(s) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore"):
             ids = s.astype(np.int64)
+    except OverflowError:
+        raise ValueError("vertex ids must fit in 64-bit signed integers") from None
     except (TypeError, ValueError):
         raise ValueError("vertex ids must be integers") from None
     if not np.array_equal(ids, s):
@@ -220,8 +222,8 @@ def _sorted_levels(levels) -> list[tuple[np.ndarray, ...]]:
         else:
             s = np.concatenate([s for s, _ in parts])
             v = np.concatenate([v for _, v in parts])
-        if not np.all(v >= 0):
-            raise ValueError("filtration values must be non-negative")
+        if not (np.all(v >= 0) and v.max() < np.inf):
+            raise ValueError("filtration values must be finite and non-negative")
         if s.min() < 0:
             raise ValueError("vertex ids must be non-negative")
         # column by column: a 2-D comparison of strided slices is slower
@@ -380,12 +382,12 @@ class Filtration:
     lexicographic) order with no comparison sort of values or vertices.
 
     Construction validates each simplex (non-empty, strictly increasing,
-    non-negative integer ids, no duplicates), closure under faces and value
-    monotonicity, and keeps the face index that check computes:
-    ``faces(p)`` gives, for each p-simplex, the local (p-1)-index of each
-    face, as int32.  Rank keys are formed in int64 whatever the vertex
-    dtype, and ids of other dtypes become int64, so ids such as ``10**10``
-    work.
+    non-negative integer ids, no duplicates, a finite non-negative value),
+    closure under faces and value monotonicity, and keeps the face index
+    that check computes: ``faces(p)`` gives, for each p-simplex, the local
+    (p-1)-index of each face, as int32.  Rank keys are formed in int64
+    whatever the vertex dtype, and ids of other dtypes become int64, so ids
+    such as ``10**10`` work.
     """
 
     def __init__(

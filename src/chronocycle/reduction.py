@@ -37,12 +37,13 @@ row has one owner and no earlier column can claim it.  Their R columns are
 their boundaries, so none is stored: a block keeps the R columns of only
 the columns reduced one at a time, each adding only pivot owners to its
 left, and ``r_column(j)`` reads any other negative column off the face
-index (a positive column reads 0), as ``v_column(j)`` reads V.  V is kept
-as a log of column additions: only the columns reduced one at a time add
-anything, so only they have logs, and a block's ``adds`` is their values.
-A block is fixed once built: ``v_column(j)`` reads the logs in one
-descending pass, and a positive column's log (an essential class,
-``check_rv``) comes from one column reduction that is not stored.
+index (a positive column reads 0), as ``v_column(j)`` reads V; ``r`` maps
+``r_column`` over the columns.  V is kept as a log of column additions:
+only the columns reduced one at a time add anything, so only they have
+logs, and a block's ``adds`` is their values.  A block is fixed once built:
+``v_column(j)`` reads the logs in one descending pass, and a positive
+column's log (an essential class) comes from one column reduction that is
+not stored.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from ._extensions import _scipy_extension
-from .complexes import Chain, Filtration
+from .complexes import F2, Chain, Filtration, boundary
 
 
 @dataclass
@@ -92,7 +92,7 @@ class _DimReduction:
     of each column, -1 where its reduced column is zero.  ``pivot_of_row`` is
     its read-only inverse, filled from it in one assignment: the column that
     owns each row, -1 where none does.  ``r_column(j)`` is R column j, an int
-    bitset over the local rows, and ``r`` yields every R column in column
+    bitset over the local rows, and ``r`` maps it over the columns in
     order; ``_reduced`` stores an int only for the negative columns reduced
     one at a time, and the others are read off the face index.  ``_logs``
     maps each column reduced one at a time to its V log, the columns added
@@ -174,16 +174,8 @@ class _DimReduction:
 
     @property
     def r(self):
-        """Every R column in column order, one int built at a time: zero runs
-        come from ``itertools.repeat``, so no list of all columns is held."""
-        negative = np.flatnonzero(self.low >= 0)
-        start = 0
-        for j, rows in zip(negative.tolist(), self.faces[negative].tolist()):
-            yield from repeat(0, j - start)
-            col = self._reduced.get(j)
-            yield _bitset(rows) if col is None else col
-            start = j + 1
-        yield from repeat(0, len(self.low) - start)
+        """Every R column in column order, one ``r_column`` at a time."""
+        return map(self.r_column, range(len(self.cols)))
 
     def v_column(self, j: int) -> int:
         """Column j of V (bitset over local column indices); raises
@@ -419,19 +411,13 @@ class ReducedDecomposition:
         return len(lows) == len(set(lows))
 
     def check_rv(self, p: int) -> bool:
-        """Re-multiply: boundary * V == R on the p-block."""
-        blk = self.blocks[p]
-        raw = [_bitset(row) for row in blk.faces.tolist()]
-        for j in range(len(blk.cols)):
-            v = blk.v_column(j)
-            acc = 0
-            while v:
-                lsb = v & -v
-                acc ^= raw[lsb.bit_length() - 1]
-                v ^= lsb
-            if acc != blk.r_column(j):
-                return False
-        return True
+        """boundary * V == R on the p-block: the boundary of each column's
+        ``v_chain`` is its ``r_chain``; stops at the first that is not."""
+        f = self.filtration
+        return all(
+            boundary(self.v_chain(p, j), f, F2) == self.r_chain(p, j)
+            for j in range(len(self.blocks[p].cols))
+        )
 
 
 def reduce(f: Filtration) -> ReducedDecomposition:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ def test_filtration_validation_errors():
         Filtration([((0,), -1.0)])
     with pytest.raises(ValueError, match="non-negative"):
         Filtration([((0,), 0.0), ((1,), float("nan")), ((0, 1), 1.0)])
+    # an edge entering at infinity would kill its class there, yet read as
+    # an essential pair that names a death simplex, in either input form
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), math.inf)])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Filtration(levels=[(np.array([[0], [1]]), [0.0, 0.0]),
+                           (np.array([[0, 1]]), [math.inf])])
     with pytest.raises(ValueError, match="non-negative"):
         Filtration([((-1,), 0.0)])
     with pytest.raises(ValueError, match="increasing"):
@@ -128,6 +136,9 @@ def test_filtration_validation_errors():
         Filtration(levels=[(np.array([[0.0], [np.nan]]), [0, 0])])
     with pytest.raises(ValueError, match="integer"):
         Filtration([(("a",), 0.0)])
+    # past int64: a ValueError naming the limit, as for every other bad id
+    with pytest.raises(ValueError, match="64-bit"):
+        Filtration([((2**70,), 0.0)])
     # duplicates inside one level, adjacent or not in the input
     with pytest.raises(ValueError, match="duplicate"):
         Filtration(levels=[(np.array([[0], [1], [0]]), [0, 0, 0])])

@@ -482,6 +482,19 @@ def test_checks_and_chains_read_the_r_view():
     assert not dec.check_reduced(2)
 
 
+def test_check_rv_reads_v_through_the_logs():
+    f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
+    dec = reduce(f)
+    log = next(log for log in dec.blocks[2]._logs.values() if log)
+    assert dec.check_rv(2)
+    # without one added column, the V column's boundary misses that
+    # column's R, which is nonzero: the check reads V, not only R
+    dropped = log.pop()
+    assert not dec.check_rv(2)
+    log.append(dropped)
+    assert dec.check_rv(2)
+
+
 def test_low_is_the_read_only_pairing():
     f = build_rips(circle_cloud(12, 0.1, 4), RipsConfig(max_dim=1))
     for blk in reduce(f).blocks.values():
